@@ -10,12 +10,11 @@ from .extendable import (EmbeddedTree, ExtendableForest, TreeSpec, add_edge,
 from .generators import (GenSpec, binomial_random, complete_graph, cycle_graph,
                          generate, glued_cliques, petersen_graph, random_regular)
 from .graph import (Graph, components_of, edge_count_between,
-                    external_neighborhood, gamma_restricted, induced_subgraph,
-                    load_graph, save_graph, vertex_set)
+                    gamma_restricted, induced_subgraph, load_graph, save_graph,
+                    vertex_set)
 from .params import PackingParams, derive_params
-from .spectral import (ExpansionReport, JoinedReport, SpectralProfile,
-                       check_joined, expansion_check, extremal_eigenvalues,
-                       lambda_with_margin, mixing_slack)
+from .spectral import (ExpansionReport, SpectralProfile, expansion_check,
+                       extremal_eigenvalues, lambda_with_margin, mixing_slack)
 from .verifier import (VerificationReport, brute_force_max_disjoint_cds,
                        brute_force_min_cds, is_dominating, verify_packing)
 

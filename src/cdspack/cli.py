@@ -12,10 +12,8 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from math import ceil
 
-from . import coloring, connector, generators, params as params_mod, spectral, verifier
+from . import connector, generators, pipeline, spectral, verifier
 from .errors import (BudgetExceeded, CdsPackError, EigenConvergenceError,
                      EmbeddingFailed, GenerationError, GraphFormatError,
                      InfeasibleParameters, NoCrossEdge, NonRegularGraph,
@@ -48,9 +46,8 @@ _ERROR_CODE = {
     VerificationFailed: "verification",
     NonRegularGraph: "spectral",
     EigenConvergenceError: "spectral",
+    OSError: "input",
 }
-
-COLORING_RESTARTS = 3
 
 
 def _code_for(exc: Exception) -> int:
@@ -115,138 +112,56 @@ def run_spectrum(args) -> int:
     return 0
 
 
-def _pack_once(args, seed: int) -> tuple[dict, int]:
-    report: dict = {"seed": seed, "timings": {}}
-    timings = report["timings"]
-
-    def fail(phase: str, exc: Exception) -> tuple[dict, int]:
-        report["error"] = {"phase": phase, "type": type(exc).__name__,
-                           "message": str(exc)}
-        return report, _code_for(exc)
-
+def run_pack(args) -> int:
+    timings: dict = {}
+    shared: dict = {}  # the "graph" and "spectral" blocks of every trial
+    seeds = [args.seed + i for i in range(args.trials)]
+    phase = "generate"
     try:
         t0 = time.perf_counter()
         g, ginfo = _load_or_generate(args)
         timings["generate"] = time.perf_counter() - t0
-        report["graph"] = {"n": g.n, "m": g.m, **ginfo}
-    except (CdsPackError, OSError) as exc:
-        return fail("generate", exc)
-
-    try:
+        shared["graph"] = {"n": g.n, "m": g.m, **ginfo}
+        phase = "spectral"
         t0 = time.perf_counter()
         profile = spectral.extremal_eigenvalues(g, tol=args.tol)
         timings["spectral"] = time.perf_counter() - t0
-        report["spectral"] = profile.to_json()
-    except CdsPackError as exc:
-        return fail("spectral", exc)
+        shared["spectral"] = profile.to_json()
+    except (CdsPackError, OSError) as exc:
+        error = {"phase": phase, "type": type(exc).__name__, "message": str(exc)}
+        bodies = [{"seed": s, "timings": {}, **shared, "error": error} for s in seeds]
+        code = _code_for(exc)
+    else:
+        overrides = {"m": args.override_m, "D": args.override_d}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        results = [pipeline.run(g, profile, s, args.epsilon, mode=args.mode,
+                                overrides=overrides, max_sets=args.max_sets,
+                                target=args.target)
+                   for s in seeds]
+        # max keeps the first of equals, so ties go to the lowest seed
+        best = max((r for r in results if r.packing is not None),
+                   key=lambda r: len(r.packing.sets), default=None)
+        if args.packing_out and best is not None:
+            with open(args.packing_out, "w", encoding="utf-8") as fh:
+                json.dump(best.body["packing"], fh, sort_keys=True, indent=2)
+        bodies = [{**shared, **r.body} for r in results]
+        code = max(_trial_code(r) for r in results)
 
-    try:
-        lam = spectral.lambda_with_margin(profile)
-        d = g.regular_degree()
-        overrides = {}
-        if args.override_m is not None:
-            overrides["m"] = args.override_m
-        if args.override_d is not None:
-            overrides["D"] = args.override_d
-        if args.mode == "practice":
-            overrides = _practice_defaults(g.n, d, lam, args.epsilon, overrides)
-        pars = params_mod.derive_params(g.n, d, lam, args.epsilon,
-                                        mode=args.mode, overrides=overrides)
-        report["params"] = pars.to_json()
-    except (CdsPackError, ValueError) as exc:
-        return fail("params", exc)
-
-    try:
-        t0 = time.perf_counter()
-        family = None
-        for attempt in range(COLORING_RESTARTS):
-            try:
-                a1 = coloring.stage_one(g, pars, seed + attempt)
-                a2 = coloring.stage_two(g, a1, pars, seed + attempt)
-                family = coloring.build_family(g, a2, pars)
-                report["coloring_attempts"] = attempt + 1
-                break
-            except ResampleBudgetExhausted:
-                if attempt == COLORING_RESTARTS - 1:
-                    raise
-        timings["coloring"] = time.perf_counter() - t0
-        report["family"] = {
-            "reservoir_size": len(family.reservoir),
-            "set_count": len(family.sets),
-            "set_sizes": [len(s) for s in family.sets],
-            "component_counts": list(family.component_counts),
-        }
-    except CdsPackError as exc:
-        return fail("coloring", exc)
-
-    try:
-        t0 = time.perf_counter()
-        max_sets = args.max_sets
-        if max_sets is None:
-            max_sets = _auto_cap(pars, len(family.reservoir))
-        packing = connector.connect_family(g, family, pars, seed,
-                                           max_sets=max_sets,
-                                           on_set_failure="skip")
-        timings["connect"] = time.perf_counter() - t0
-        report["packing"] = packing.to_json()
-        report["connect"] = dict(packing.meta)
-    except CdsPackError as exc:
-        return fail("connect", exc)
-
-    t0 = time.perf_counter()
-    vreport = verifier.verify_packing(g, packing, target=args.target)
-    timings["verify"] = time.perf_counter() - t0
-    report["verification"] = vreport.to_json()
-    if args.packing_out:
-        with open(args.packing_out, "w", encoding="utf-8") as fh:
-            json.dump(packing.to_json(), fh, sort_keys=True, indent=2)
-    ok = not vreport.failures and (vreport.target_met is not False)
-    return report, 0 if ok else EXIT_CODES["verification"]
-
-
-def _practice_defaults(n: int, d: int, lam: float, epsilon: float,
-                       overrides: dict) -> dict:
-    """Fill in desk-scale m/D overrides when the derived values are unusable."""
-    out = dict(overrides)
-    if "D" not in out:
-        derived_d = int(epsilon ** 4 * d / (36 * lam))
-        if derived_d < 6:  # tree arity needs D >= 6
-            out["D"] = 8
-    if "m" not in out:
-        cap_d = out.get("D", max(6, int(epsilon ** 4 * d / (36 * lam))))
-        derived_m = ceil(lam * n / d) + 1
-        if n - derived_m * (2 * cap_d + 3) <= n // 2:
-            out["m"] = 2
-    return out
-
-
-def _auto_cap(pars, reservoir_size: int) -> int:
-    """Budget-aware default for how many sets to connect.
-
-    Each set is expected to spend roughly 2.5 reservoir vertices per merge
-    over ceil(n/2d) - 1 merges; keep utilization around 60%.
-    """
-    merges = max(1, ceil(pars.n / (2 * pars.d)) - 1)
-    est = 2.5 * merges
-    return max(1, min(pars.d_star, int(0.6 * reservoir_size / est)))
-
-
-def run_pack(args) -> int:
-    if args.trials <= 1:
-        report, code = _pack_once(args, args.seed)
-        config = _config_echo(args)
-        report = {"config": config, **report}
-        _emit(report, args.report)
-        return code
-
-    seeds = [args.seed + i for i in range(args.trials)]
-    with ThreadPoolExecutor(max_workers=min(args.trials, 4)) as pool:
-        results = list(pool.map(lambda s: _pack_once(args, s), seeds))
-    report = {"config": _config_echo(args),
-              "trials": [r for r, _ in results]}
+    report: dict = {"config": _config_echo(args)}
+    if len(bodies) == 1:
+        report.update(bodies[0], timings={**timings, **bodies[0]["timings"]})
+    else:
+        report.update(timings=timings, trials=bodies)
     _emit(report, args.report)
-    return 0 if all(code == 0 for _, code in results) else \
-        max(code for _, code in results)
+    return code
+
+
+def _trial_code(result: pipeline.PackResult) -> int:
+    if result.error is not None:
+        return _code_for(result.error)
+    v = result.verification
+    ok = not v.failures and v.target_met is not False
+    return 0 if ok else EXIT_CODES["verification"]
 
 
 def _config_echo(args) -> dict:
@@ -278,6 +193,13 @@ def run_verify(args) -> int:
     _emit(report, args.report)
     ok = not vreport.failures and (vreport.target_met is not False)
     return 0 if ok else EXIT_CODES["verification"]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sets", type=int, dest="max_sets")
     p.add_argument("--override-m", type=int, dest="override_m")
     p.add_argument("--override-D", "--override-d", type=int, dest="override_d")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--report")
     p.add_argument("--packing-out", dest="packing_out")

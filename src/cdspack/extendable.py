@@ -310,19 +310,3 @@ def is_extendable_exact(forest: ExtendableForest, u_cap: int,
             if lhs < rhs:
                 return False, list(u_tuple)
     return True, None
-
-
-def to_dot(forest: ExtendableForest) -> str:
-    """DOT-format dump of the forest for debugging."""
-    lines = ["graph forest {"]
-    for v in sorted(forest.adj):
-        shape = "box" if v in forest.protected else "circle"
-        lines.append(f'  {v} [shape={shape}];')
-    seen = set()
-    for v in sorted(forest.adj):
-        for w in sorted(forest.adj[v]):
-            if (min(v, w), max(v, w)) not in seen:
-                seen.add((min(v, w), max(v, w)))
-                lines.append(f"  {min(v, w)} -- {max(v, w)};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -164,14 +164,6 @@ def gamma_restricted(g: Graph, a, b) -> list[int]:
     return b_arr[touched[b_arr]].tolist()
 
 
-def external_neighborhood(g: Graph, a, b) -> list[int]:
-    """gamma_restricted(g, a, b) minus a."""
-    a_arr = _as_array(g, a)
-    gam = gamma_restricted(g, a_arr, b)
-    a_set = set(a_arr.tolist())
-    return [v for v in gam if v not in a_set]
-
-
 def components_of(g: Graph, s) -> list[list[int]]:
     """Connected components of the induced subgraph g[s].
 

@@ -3,9 +3,11 @@
 Theory mode applies the asymptotic formulas verbatim and rejects any input
 where a feasibility constraint fails; those constants are only attainable
 for astronomically dense graphs. Practice mode keeps the same shapes but
-picks a desk-scale color-grid split, honors explicit m/D overrides, and
-downgrades feasibility failures to warnings (except s <= 0, which always
-errors because the forest budget would be empty).
+picks a desk-scale color-grid split, honors explicit m/D overrides, replaces
+a derived D < 6 by 8 and a derived m that leaves s <= n/2 by 2 (each with a
+warning naming the derived value), and downgrades feasibility failures to
+warnings (except s <= 0, which always errors because the forest budget
+would be empty).
 """
 
 from __future__ import annotations
@@ -93,12 +95,18 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
     m = ceil(lam * n / d) + 1
     D = floor(epsilon ** 4 * d / (36 * lam))
     if mode == "practice":
-        if "m" in overrides:
-            m = int(overrides["m"])
-            warnings.append(f"m overridden to {m}")
         if "D" in overrides:
             D = int(overrides["D"])
             warnings.append(f"D overridden to {D}")
+        elif D < 6:  # the tree arity D // 2 - 1 needs D >= 6
+            warnings.append(f"D defaulted to 8 (derived D = {D} < 6)")
+            D = 8
+        if "m" in overrides:
+            m = int(overrides["m"])
+            warnings.append(f"m overridden to {m}")
+        elif n - m * (2 * D + 3) <= n // 2:
+            warnings.append(f"m defaulted to 2 (derived m = {m} leaves s <= n/2)")
+            m = 2
     s = n - 2 * D * m - 3 * m
 
     problems: list[str] = []

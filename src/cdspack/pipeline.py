@@ -1,0 +1,111 @@
+"""One seed of the packing pipeline, from a measured spectrum to a verified packing.
+
+Loading the graph and measuring its spectrum depend only on the graph, so a
+caller does them once and calls `run` once per seed: params, coloring,
+connector, verifier. Each layer is called through its module, never through
+a name imported from it, so a tracer that wraps module attributes sees every
+call.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+from . import coloring, connector, params, spectral, verifier
+from .coloring import DominatingFamily
+from .connector import CdsPacking
+from .errors import CdsPackError, ResampleBudgetExhausted
+from .graph import Graph
+from .params import PackingParams
+from .spectral import SpectralProfile
+from .verifier import VerificationReport
+
+COLORING_RESTARTS = 3
+
+
+@dataclass
+class PackResult:
+    """One seed's report body and the objects behind it.
+
+    `body` holds every key of the seed's `pack` report except "graph" and
+    "spectral". On a typed error, `error` is set, `body["error"]` names the
+    phase that raised it, and the objects of that phase and later are None.
+    """
+
+    body: dict
+    params: PackingParams | None = None
+    family: DominatingFamily | None = None
+    packing: CdsPacking | None = None
+    verification: VerificationReport | None = None
+    error: CdsPackError | ValueError | None = None
+
+
+def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
+        mode: str = "practice", overrides: dict | None = None,
+        max_sets: int | None = None, target: int | None = None) -> PackResult:
+    """Derive params, color, connect and verify one seed on `g`.
+
+    Coloring retries with the next seed up to COLORING_RESTARTS times when
+    resampling runs out of budget. Sets that fail to connect are left out of
+    the packing rather than aborting the run.
+    """
+    result = PackResult(body={"seed": seed, "timings": {}})
+    body = result.body
+    timings = body["timings"]
+
+    def fail(phase: str, exc: CdsPackError | ValueError) -> PackResult:
+        body["error"] = {"phase": phase, "type": type(exc).__name__,
+                         "message": str(exc)}
+        result.error = exc
+        return result
+
+    try:
+        lam = spectral.lambda_with_margin(profile)
+        pars = params.derive_params(g.n, g.regular_degree(), lam, epsilon,
+                                    mode=mode, overrides=overrides)
+    except (CdsPackError, ValueError) as exc:
+        return fail("params", exc)
+    result.params = pars
+    body["params"] = pars.to_json()
+
+    try:
+        t0 = time.perf_counter()
+        for attempt in range(COLORING_RESTARTS):
+            try:
+                a1 = coloring.stage_one(g, pars, seed + attempt)
+                a2 = coloring.stage_two(g, a1, pars, seed + attempt)
+                family = coloring.build_family(g, a2, pars)
+                break
+            except ResampleBudgetExhausted:
+                if attempt == COLORING_RESTARTS - 1:
+                    raise
+        timings["coloring"] = time.perf_counter() - t0
+    except CdsPackError as exc:
+        return fail("coloring", exc)
+    result.family = family
+    body["coloring_attempts"] = attempt + 1
+    body["family"] = {
+        "reservoir_size": len(family.reservoir),
+        "set_count": len(family.sets),
+        "set_sizes": [len(s) for s in family.sets],
+        "component_counts": list(family.component_counts),
+    }
+
+    try:
+        t0 = time.perf_counter()
+        packing = connector.connect_family(g, family, pars, seed,
+                                           max_sets=max_sets,
+                                           on_set_failure="skip")
+        timings["connect"] = time.perf_counter() - t0
+    except CdsPackError as exc:
+        return fail("connect", exc)
+    result.packing = packing
+    body["packing"] = packing.to_json()
+    body["connect"] = dict(packing.meta)
+
+    t0 = time.perf_counter()
+    result.verification = verifier.verify_packing(g, packing, target=target)
+    timings["verify"] = time.perf_counter() - t0
+    body["verification"] = result.verification.to_json()
+    return result

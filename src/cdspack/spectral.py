@@ -1,4 +1,4 @@
-"""Spectral measurements and the three expansion checks the pipeline relies on.
+"""Spectral measurements and the expansion checks the pipeline relies on.
 
 lambda = max(lambda_2, |lambda_n|) is always *measured*, never assumed: for
 small graphs by dense symmetric eigendecomposition, for large ones by Lanczos
@@ -11,7 +11,6 @@ safety margin before being consumed by parameter derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -147,65 +146,6 @@ def mixing_slack(g: Graph, lam: float, a, b) -> float:
     e_ab = edge_count_between(g, a_arr, b_arr)
     expected = a_arr.size * b_arr.size * d / g.n
     return lam * sqrt(a_arr.size * b_arr.size) - abs(e_ab - expected)
-
-
-@dataclass(frozen=True)
-class JoinedReport:
-    passed: bool
-    exhaustive: bool
-    pairs_checked: int
-    witness: tuple[list[int], list[int]] | None
-    vacuous: bool = False
-
-
-def check_joined(g: Graph, m: int, trials: int = 1000, seed: int = 0) -> JoinedReport:
-    """Check that every two disjoint size-m vertex sets span at least one edge.
-
-    Exhaustive for n <= 24 (complete over all pairs of size exactly m);
-    sampled otherwise, which makes a pass one-sided. A witness, when found,
-    is a pair (X, Y) with no edge between them.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    n = g.n
-    if 2 * m > n:
-        return JoinedReport(True, True, 0, None, vacuous=True)
-    if n <= 24:
-        return _check_joined_exhaustive(g, m)
-    rng = rng_for(seed, 3)
-    for t in range(trials):
-        perm = rng.permutation(n)
-        x = sorted(perm[:m].tolist())
-        y = sorted(perm[m:2 * m].tolist())
-        if edge_count_between(g, x, y) == 0:
-            return JoinedReport(False, False, t + 1, (x, y))
-    return JoinedReport(True, False, trials, None)
-
-
-def _check_joined_exhaustive(g: Graph, m: int) -> JoinedReport:
-    n = g.n
-    nbr_mask = [0] * n
-    for v in range(n):
-        acc = 0
-        for w in g.neighbors(v).tolist():
-            acc |= 1 << w
-        nbr_mask[v] = acc
-    full = (1 << n) - 1
-    checked = 0
-    for xs in combinations(range(n), m):
-        checked += 1
-        covered = 0
-        for v in xs:
-            covered |= (1 << v) | nbr_mask[v]
-        free = full & ~covered
-        if free.bit_count() >= m:
-            ys = []
-            while len(ys) < m:
-                low = free & -free
-                ys.append(low.bit_length() - 1)
-                free ^= low
-            return JoinedReport(False, True, checked, (list(xs), ys))
-    return JoinedReport(True, True, checked, None)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cdspack as cp
+from cdspack import pipeline
 from cdspack.cli import main as cli_main
 from cdspack.rand import rng_for
 from cdspack.spectral import _dense_extremal, _iterative_extremal
@@ -275,15 +276,10 @@ def test_criterion_6_extendability_scenarios():
 def _pack_run(n, d, seed):
     g = cp.random_regular(n, d, seed)
     prof = cp.extremal_eigenvalues(g, tol=1e-6)
-    lam = cp.lambda_with_margin(prof)
-    pars = cp.derive_params(n, d, lam, 0.3, "practice",
-                            overrides={"m": 2, "D": 8})
-    a1 = cp.stage_one(g, pars, seed)
-    a2 = cp.stage_two(g, a1, pars, seed)
-    fam = cp.build_family(g, a2, pars)
-    packing = cp.connect_family(g, fam, pars, seed, on_set_failure="skip")
-    report = cp.verify_packing(g, packing)
-    return packing, fam, pars, report
+    result = pipeline.run(g, prof, seed, 0.3)
+    assert result.error is None, result.body["error"]
+    assert (result.params.m, result.params.D) == (2, 8)  # the practice defaults
+    return result.packing, result.family, result.params, result.verification
 
 
 def test_criterion_7_end_to_end_targets():
@@ -361,6 +357,8 @@ def test_criterion_8_determinism(tmp_path):
         ["gen", "--kind", "regular", "--n", "200", "--d", "10", "--seed", "5"],
         ["spectrum"],
         ["pack", "--n", "600", "--d", "16", "--epsilon", "0.4", "--seed", "9"],
+        ["pack", "--n", "600", "--d", "16", "--epsilon", "0.4", "--seed", "1",
+         "--trials", "3"],
     ]
     gpath = tmp_path / "g.txt"
     cli_main(["gen", "--kind", "regular", "--n", "200", "--d", "10",
@@ -374,6 +372,8 @@ def test_criterion_8_determinism(tmp_path):
                 args += ["--out", str(tmp_path / f"g_{idx}_{run}.txt")]
             if base[0] == "spectrum":
                 args += ["--input", str(gpath)]
+            if base[0] == "pack":
+                args += ["--packing-out", str(tmp_path / f"p_{idx}_{run}.json")]
             args += ["--report", str(rep)]
             assert cli_main(args) == 0
             outputs.append(json.dumps(
@@ -383,7 +383,11 @@ def test_criterion_8_determinism(tmp_path):
                 (tmp_path / f"g_{idx}_1.txt").read_bytes()
         else:
             assert outputs[0] == outputs[1]
-    _report("8 PASS: byte-identical reports modulo timings for 3 configs")
+        if base[0] == "pack":
+            assert (tmp_path / f"p_{idx}_0.json").read_bytes() == \
+                (tmp_path / f"p_{idx}_1.json").read_bytes()
+    _report(f"8 PASS: byte-identical reports modulo timings for {len(configs)} "
+            "configs, and identical --packing-out files")
 
 
 # -- 9: theory-mode gate --------------------------------------------------------

@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from cdspack.cli import EXIT_CODES, main
 from cdspack.graph import load_graph
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_gen_writes_loadable_graph(tmp_path):
@@ -77,11 +86,72 @@ def test_verify_roundtrip_and_tamper(tmp_path):
         == EXIT_CODES["verification"]
 
 
+def _without_timings(body):
+    return {k: v for k, v in body.items() if k not in ("timings", "config")}
+
+
 def test_pack_trials(tmp_path):
+    gpath = tmp_path / "g.txt"
+    main(["gen", "--kind", "regular", "--n", "400", "--d", "12", "--seed", "2",
+          "--out", str(gpath)])
     rep_path = tmp_path / "rep.json"
-    code = main(["pack", "--n", "400", "--d", "12", "--epsilon", "0.4",
-                 "--seed", "2", "--trials", "2", "--report", str(rep_path)])
+    pack_path = tmp_path / "packing.json"
+    code = main(["pack", "--input", str(gpath), "--epsilon", "0.4",
+                 "--seed", "2", "--trials", "2", "--report", str(rep_path),
+                 "--packing-out", str(pack_path)])
     assert code == 0
     report = json.loads(rep_path.read_text())
     assert len(report["trials"]) == 2
     assert [t["seed"] for t in report["trials"]] == [2, 3]
+    # --packing-out holds the largest packing, the lowest seed's on a tie
+    best = max(report["trials"], key=lambda t: len(t["packing"]["sets"]))
+    assert json.loads(pack_path.read_text()) == best["packing"]
+    # load and spectrum are shared, so their timings appear once, at the top
+    assert set(report["timings"]) == {"generate", "spectral"}
+    assert all("graph" in t and "spectral" in t for t in report["trials"])
+    # a trial is the same run as packing its seed alone
+    single_path = tmp_path / "single.json"
+    assert main(["pack", "--input", str(gpath), "--epsilon", "0.4",
+                 "--seed", "3", "--report", str(single_path)]) == 0
+    single = json.loads(single_path.read_text())
+    assert _without_timings(report["trials"][1]) == _without_timings(single)
+
+
+def test_pack_unreadable_input_is_an_input_error(tmp_path):
+    rep_path = tmp_path / "rep.json"
+    code = main(["pack", "--input", str(tmp_path / "missing.txt"),
+                 "--trials", "2", "--report", str(rep_path)])
+    assert code == EXIT_CODES["input"]
+    trials = json.loads(rep_path.read_text())["trials"]
+    assert [t["error"]["phase"] for t in trials] == ["generate", "generate"]
+
+
+def test_pack_rejects_fewer_than_one_trial(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pack", "--n", "400", "--d", "12", "--trials", "0"])
+    assert exc.value.code == EXIT_CODES["usage"]
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_tracing_sees_every_layer_once_per_use(tmp_path):
+    """The benchmark's tracer wraps module attributes; each layer must be
+    called through them, and load and spectrum must run once per invocation."""
+    gpath = tmp_path / "g.txt"
+    main(["gen", "--kind", "regular", "--n", "400", "--d", "12", "--seed", "2",
+          "--out", str(gpath)])
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace_pack.py"), str(spans_path),
+         "pack", "--input", str(gpath), "--epsilon", "0.4", "--seed", "2",
+         "--trials", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
+    assert calls["graph.load_graph"] == 1
+    assert calls["spectral.extremal_eigenvalues"] == 1
+    assert calls["params.derive_params"] == 2
+    assert calls["verifier.verify_packing"] == 4  # connector's and the report's
+    assert calls["cli.emit"] == 1
+    assert calls["coloring.stage_one"] > 0
+    assert calls["connector.connect_family"] > 0

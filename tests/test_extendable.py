@@ -4,7 +4,7 @@ from cdspack import (TreeSpec, add_edge, attach_tree, complete_graph,
                      is_extendable_exact, new_forest, random_regular,
                      remove_leaf, rollback)
 from cdspack.errors import BudgetExceeded, InstanceTooLarge
-from cdspack.extendable import balanced_depth, to_dot
+from cdspack.extendable import balanced_depth
 
 
 def test_new_forest_validation():
@@ -137,11 +137,3 @@ def test_balanced_depth():
     assert balanced_depth(4, 3) == 1
     assert balanced_depth(5, 3) == 2
     assert balanced_depth(40, 3) == 3
-
-
-def test_to_dot_smoke():
-    k6 = complete_graph(6)
-    f = new_forest(k6, [0, 3], 1, 4, 6)
-    add_edge(f, 0, 3)
-    dump = to_dot(f)
-    assert "0 -- 3" in dump and "graph forest" in dump

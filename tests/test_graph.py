@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cdspack import (Graph, components_of, complete_graph, cycle_graph,
-                     edge_count_between, external_neighborhood,
-                     gamma_restricted, induced_subgraph, load_graph,
-                     save_graph, vertex_set)
+                     edge_count_between, gamma_restricted, induced_subgraph,
+                     load_graph, save_graph, vertex_set)
 from cdspack.errors import GraphFormatError
 from cdspack.rand import rng_for
 
@@ -63,28 +62,6 @@ def test_gamma_restricted_examples():
     assert gamma_restricted(c5, [0], [1, 2]) == [1]
     assert gamma_restricted(c5, [0, 2], list(range(5))) == [1, 3, 4]
     assert gamma_restricted(c5, [0], []) == []
-
-
-def test_external_neighborhood_examples():
-    c5 = cycle_graph(5)
-    assert external_neighborhood(c5, [0, 1], list(range(5))) == [2, 4]
-    assert external_neighborhood(c5, list(range(5)), list(range(5))) == []
-    # two triangles sharing vertex 2
-    glued = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    assert external_neighborhood(glued, [0, 1], list(range(5))) == [2]
-
-
-def test_external_is_gamma_minus_a():
-    rng = rng_for(78)
-    for _ in range(200):
-        n = int(rng.integers(2, 40))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        take = rng.random(len(pairs)) < 0.25
-        g = Graph(n, [p for p, t in zip(pairs, take) if t])
-        a = sorted(set(rng.integers(0, n, size=5).tolist()))
-        gam = gamma_restricted(g, a, list(range(n)))
-        ext = external_neighborhood(g, a, list(range(n)))
-        assert ext == [v for v in gam if v not in set(a)]
 
 
 def test_components_examples():

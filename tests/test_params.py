@@ -38,25 +38,57 @@ def test_practice_overrides_and_warnings():
                          overrides={"m": 200, "D": 8})
     assert pars.m == 200 and pars.D == 8
     assert any("overridden" in w for w in pars.warnings)
-    # without overrides the same input only warns about D
+    # without overrides the derived D = 0 is replaced by the default 8
     pars = derive_params(10**6, 10**4, 100.0, 0.1, "practice")
-    assert pars.D == 0
-    assert any("D = 0" in w for w in pars.warnings)
+    assert pars.D == 8
+    assert any("derived D = 0" in w for w in pars.warnings)
 
 
 def test_s_nonpositive_always_errors():
     # m = ceil(50*200/60)+1 = 168 makes s = 200 - 3*168 < 0 even with D = 0
     with pytest.raises(InfeasibleParameters, match="s ="):
-        derive_params(200, 60, 50.0, 0.9, "practice")
+        derive_params(200, 60, 50.0, 0.9, "practice", overrides={"m": 168})
 
 
 def test_monotonicity_in_lambda():
     prev = None
-    for lam in [5.0, 10.0, 20.0, 40.0, 80.0]:
-        pars = derive_params(10**6, 10**4, lam, 0.5, "practice")
+    # derived D stays >= 6 here, so the formula is tested, not the default
+    for lam in [5.0, 10.0, 20.0]:
+        pars = derive_params(10**6, 10**5, lam, 0.5, "practice")
+        assert pars.D >= 6 and not pars.overrides
         if prev is not None:
             assert pars.D <= prev
         prev = pars.D
+
+
+def test_practice_defaults_fill_only_missing_keys():
+    # n=5000, d=64, lam=17: derived D = 0 and m = 1330, both unusable
+    pars = derive_params(5000, 64, 17.0, 0.3, "practice")
+    assert (pars.m, pars.D) == (2, 8)
+    assert pars.overrides == {}
+    assert "D defaulted to 8 (derived D = 0 < 6)" in pars.warnings
+    assert any(w.startswith("m defaulted to 2 (derived m = 1330") for w in pars.warnings)
+    assert not any("overridden" in w for w in pars.warnings)
+
+    pars = derive_params(5000, 64, 17.0, 0.3, "practice", overrides={"D": 10})
+    assert (pars.m, pars.D) == (2, 10)
+    assert pars.overrides == {"D": 10}
+    assert "D overridden to 10" in pars.warnings
+    assert not any(w.startswith("D defaulted") for w in pars.warnings)
+    assert any(w.startswith("m defaulted to 2") for w in pars.warnings)
+
+    pars = derive_params(5000, 64, 17.0, 0.3, "practice", overrides={"m": 3})
+    assert (pars.m, pars.D) == (3, 8)
+    assert pars.overrides == {"m": 3}
+    assert [w.split(" (")[0] for w in pars.warnings] == ["D defaulted to 8",
+                                                        "m overridden to 3"]
+
+
+def test_theory_mode_has_no_defaults():
+    pars = derive_params(10**7, 3 * 10**5, 1100.0, 0.8, "theory",
+                         overrides={"m": 2, "D": 8})
+    assert pars.D == 3 and pars.m == math.ceil(1100.0 * 10**7 / (3 * 10**5)) + 1
+    assert pars.warnings == []
 
 
 def test_input_validation():

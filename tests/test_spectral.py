@@ -1,13 +1,12 @@
 import math
-from itertools import combinations
 
 import pytest
 
-from cdspack import (check_joined, complete_graph, cycle_graph, expansion_check,
-                     extremal_eigenvalues, glued_cliques, lambda_with_margin,
-                     mixing_slack, petersen_graph, random_regular)
+from cdspack import (complete_graph, cycle_graph, expansion_check,
+                     extremal_eigenvalues, lambda_with_margin, mixing_slack,
+                     petersen_graph, random_regular)
 from cdspack.errors import NonRegularGraph
-from cdspack.graph import Graph, edge_count_between
+from cdspack.graph import Graph
 from cdspack.rand import rng_for
 from cdspack.spectral import _dense_extremal, _iterative_extremal
 
@@ -80,43 +79,6 @@ def test_mixing_slack_never_negative_on_petersen():
         b = perm[ka:ka + kb].tolist()
         slack = mixing_slack(g, lam, a, b)
         assert slack >= -1e-9 * math.sqrt(ka * kb)
-
-
-def test_check_joined_examples():
-    assert check_joined(complete_graph(4), 1).passed
-    rep = check_joined(cycle_graph(6), 1)
-    assert rep.exhaustive and not rep.passed
-    x, y = rep.witness
-    assert edge_count_between(cycle_graph(6), x, y) == 0
-    rep = check_joined(glued_cliques(5), 4)
-    assert not rep.passed
-    assert rep.witness == ([1, 2, 3, 4], [5, 6, 7, 8])
-
-
-def test_check_joined_vacuous():
-    rep = check_joined(cycle_graph(5), 3)  # 2m > n: no disjoint pairs
-    assert rep.passed and rep.vacuous
-
-
-def test_check_joined_exhaustive_agrees_with_scan():
-    for g, m in [(cycle_graph(6), 1), (cycle_graph(6), 2),
-                 (complete_graph(6), 2), (petersen_graph(), 2)]:
-        rep = check_joined(g, m)
-        assert rep.exhaustive
-        brute_ok = True
-        for xs in combinations(range(g.n), m):
-            rest = [v for v in range(g.n) if v not in xs]
-            for ys in combinations(rest, m):
-                if edge_count_between(g, list(xs), list(ys)) == 0:
-                    brute_ok = False
-        assert rep.passed == brute_ok
-
-
-def test_check_joined_sampled_mode():
-    g = random_regular(60, 20, 3)
-    rep = check_joined(g, 12, trials=200, seed=1)
-    assert not rep.exhaustive
-    assert rep.passed  # dense random graph: large disjoint sets always joined
 
 
 def test_expansion_check_examples():
