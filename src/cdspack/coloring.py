@@ -6,7 +6,10 @@ possible through floating-point edge cases, since b_prob + r1*p1 = 1). Stage
 two refines each colored vertex with a uniform second-stage color in [r2].
 Both stages run a Moser-Tardos style loop: while some neighborhood count
 violates its threshold, re-randomize the labels the violated event depends
-on, always picking the lexicographically lowest violated event.
+on, always picking the lexicographically lowest violated event. Violations
+are tracked incrementally: after a resample only the count entries it
+changed are re-tested, and the next event is still the lowest violated one,
+exactly as a full rescan of the count matrix would pick it.
 
 Thresholds by mode:
   theory   - stage one requires every count inside [(1-eps/2)E, (1+eps/2)E]
@@ -26,6 +29,8 @@ which is exactly domination.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import inf, log
 
@@ -105,8 +110,12 @@ def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
 
 
 def _shift_counts(g: Graph, counts: np.ndarray, verts: np.ndarray,
-                  old: np.ndarray, new: np.ndarray) -> None:
-    """Apply a relabeling of `verts` to the neighbor-count matrix in place."""
+                  old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Apply a relabeling of `verts` to the neighbor-count matrix in place.
+
+    Returns the flat indices (row * ncols + col) of the entries it changed,
+    with repeats.
+    """
     degs = g.degrees[verts]
     nbrs = concat_neighbors(g, verts)
     rep_old = np.repeat(old, degs)
@@ -117,6 +126,45 @@ def _shift_counts(g: Graph, counts: np.ndarray, verts: np.ndarray,
     inc = rep_new >= 0
     if inc.any():
         np.add.at(counts, (nbrs[inc], rep_new[inc]), 1)
+    ncols = counts.shape[1]
+    return np.concatenate((nbrs[dec] * ncols + rep_old[dec],
+                           nbrs[inc] * ncols + rep_new[inc]))
+
+
+class _BadEvents:
+    """The violated entries of a count matrix, kept current shift by shift.
+
+    `test(values, flat)` says which entries at flat indices `flat`, holding
+    `values`, violate their bounds. One full test seeds the flags; after
+    that `update` re-tests only the entries a shift touched. Violated
+    indices sit in a min-heap whose stale entries are dropped lazily, so
+    `lowest` returns the first violated index a full rescan would find.
+    """
+
+    def __init__(self, counts: np.ndarray,
+                 test: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self._flat = counts.reshape(-1)  # a view: counts is C-contiguous
+        self._test = test
+        self._flags = test(self._flat, np.arange(self._flat.size))
+        self._heap = np.flatnonzero(self._flags).tolist()  # sorted: a heap
+
+    def lowest(self) -> int | None:
+        """Lowest violated flat index, or None when every entry is in bounds."""
+        heap, flags = self._heap, self._flags
+        while heap and not flags[heap[0]]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def update(self, touched: np.ndarray) -> None:
+        """Re-test the entries at `touched` after their counts changed."""
+        now = self._test(self._flat[touched], touched)
+        for idx in np.unique(touched[now & ~self._flags[touched]]).tolist():
+            heapq.heappush(self._heap, idx)
+        self._flags[touched] = now
+
+    def count(self) -> int:
+        """Number of violated entries."""
+        return int(np.count_nonzero(self._flags))
 
 
 def stage_one_thresholds(params: PackingParams) -> tuple[np.ndarray, np.ndarray]:
@@ -154,22 +202,25 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (r1 + 1,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (r1 + 1,))
     counts = _neighbor_counts(g, _column_labels(c1, r1), r1 + 1)
+
+    def out_of_bounds(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        col = flat % (r1 + 1)
+        return (x < lo[col]) | (x > hi[col])
+
+    events = _BadEvents(counts, out_of_bounds)
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
-    while True:
-        bad = (counts < lo) | (counts > hi)
-        flat = np.flatnonzero(bad.ravel())
-        if flat.size == 0:
-            break
-        v = int(flat[0]) // (r1 + 1)
+    while (idx := events.lowest()) is not None:
+        v = idx // (r1 + 1)
         resamples += 1
         if resamples > cap:
             raise ResampleBudgetExhausted(
-                f"stage one: {flat.size} bad events after {cap} resamples")
+                f"stage one: {events.count()} bad events after {cap} resamples")
         w = g.neighbors(v).astype(np.int64)
         old_cols = _column_labels(c1[w], r1)
         c1[w] = _draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
-        _shift_counts(g, counts, w, old_cols, _column_labels(c1[w], r1))
+        events.update(_shift_counts(g, counts, w, old_cols,
+                                    _column_labels(c1[w], r1)))
     return ColorAssignment(c1=c1, c2=None, r1=r1, r2=params.r2, resamples=resamples)
 
 
@@ -204,20 +255,16 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
     labels = c1.astype(np.int64) * r2 + c2
     labels[c1 < 0] = -1
     counts = _neighbor_counts(g, labels, d_star)
+    events = _BadEvents(counts, lambda x, flat: (x <= lo) | (x >= hi))
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
-    while True:
-        bad = (counts <= lo) | (counts >= hi)
-        flat = np.flatnonzero(bad.ravel())
-        if flat.size == 0:
-            break
-        idx = int(flat[0])
+    while (idx := events.lowest()) is not None:
         v, cls = idx // d_star, idx % d_star
         c = cls // r2
         resamples += 1
         if resamples > cap:
             raise ResampleBudgetExhausted(
-                f"stage two: {flat.size} bad events after {cap} resamples")
+                f"stage two: {events.count()} bad events after {cap} resamples")
         nbrs = g.neighbors(v).astype(np.int64)
         members = nbrs[c1[nbrs] == c]
         if members.size == 0:
@@ -228,22 +275,23 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
             old = labels[members].copy()
             c2[members] = rng.integers(0, r2, size=members.size).astype(np.int32)
             labels[members] = c1[members].astype(np.int64) * r2 + c2[members]
-            _shift_counts(g, counts, members, old, labels[members])
+            events.update(_shift_counts(g, counts, members, old, labels[members]))
         else:
-            _repair_event(g, counts, labels, c2, members, c, cls, r2,
-                          int(counts[v, cls]) >= hi, lo, v)
+            events.update(_repair_event(g, counts, labels, c2, members, c, cls,
+                                        r2, int(counts[v, cls]) >= hi, lo, v))
     return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
                            resamples=stage1.resamples + resamples)
 
 
 def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
                   c2: np.ndarray, members: np.ndarray, c: int, cls: int,
-                  r2: int, overfull: bool, lo: float, v: int) -> None:
+                  r2: int, overfull: bool, lo: float, v: int) -> np.ndarray:
     """Flip one second-stage label to move counts[v, cls] toward its band.
 
     The flipped vertex is the candidate whose relabeling drops the fewest
     neighborhood counts to the lower threshold (ties to lowest id), so
-    repairs rarely spawn new violations.
+    repairs rarely spawn new violations. Returns the flat indices of the
+    count entries the flip changed, as `_shift_counts` does.
     """
     if overfull:
         cand = members[c2[members] == cls % r2]
@@ -266,8 +314,8 @@ def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
     old = labels[[best_w]].copy()
     c2[best_w] = target
     labels[best_w] = c * r2 + target
-    _shift_counts(g, counts, np.asarray([best_w], dtype=np.int64), old,
-                  labels[[best_w]])
+    return _shift_counts(g, counts, np.asarray([best_w], dtype=np.int64), old,
+                         labels[[best_w]])
 
 
 def build_family(g: Graph, stage2_out: ColorAssignment,

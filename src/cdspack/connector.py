@@ -331,7 +331,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     connected_sets: list[int] = []
     failed_sets: list[int] = []
     for i in chosen:
-        if len(components_of(g, family.sets[i])) == 1:
+        if family.component_counts[i] == 1:
             connected_sets.append(i)  # already connected: zero paths
             continue
         try:

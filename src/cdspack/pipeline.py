@@ -85,6 +85,8 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
         return fail("coloring", exc)
     result.family = family
     body["coloring_attempts"] = attempt + 1
+    body["coloring_resamples"] = {"stage_one": a1.resamples,
+                                  "stage_two": a2.resamples - a1.resamples}
     body["family"] = {
         "reservoir_size": len(family.reservoir),
         "set_count": len(family.sets),

@@ -57,6 +57,14 @@ def test_pack_small_practice_run(tmp_path):
     assert report["seed"] == 1
     packing = json.loads(pack_path.read_text())
     assert set(packing) == {"params", "sets", "certificates", "paths"}
+    resamples = report["coloring_resamples"]
+    assert set(resamples) == {"stage_one", "stage_two"}
+    assert all(isinstance(k, int) and k >= 0 for k in resamples.values())
+    again_path = tmp_path / "again.json"
+    assert main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
+                 "--mode", "practice", "--seed", "1",
+                 "--report", str(again_path)]) == 0
+    assert json.loads(again_path.read_text())["coloring_resamples"] == resamples
 
 
 def test_pack_theory_infeasible_exit(tmp_path):
@@ -155,3 +163,11 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert calls["cli.emit"] == 1
     assert calls["coloring.stage_one"] > 0
     assert calls["connector.connect_family"] > 0
+    # components are counted once per set by build_family and once by
+    # choose_representatives; the connector reuses the family's count, and
+    # each of the two verifications re-derives connectivity per packed set
+    trials = json.loads(proc.stdout)["trials"]
+    assert all("error" not in t and t["coloring_attempts"] == 1 for t in trials)
+    assert calls["graph.components_of"] == sum(
+        2 * t["family"]["set_count"] + 2 * len(t["packing"]["sets"])
+        for t in trials)

@@ -1,20 +1,152 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cdspack import (build_family, derive_params, random_regular, stage_one,
                      stage_two)
-from cdspack.coloring import (RESERVOIR, UNCOLORED, _column_labels,
-                              _neighbor_counts, stage_one_thresholds,
-                              stage_two_thresholds)
+from cdspack.coloring import (_STAGE1_TAG, _STAGE2_TAG, RESAMPLE_FACTOR,
+                              RESERVOIR, UNCOLORED, ColorAssignment,
+                              _column_labels, _draw_stage1, _neighbor_counts,
+                              _repair_event, _shift_counts,
+                              stage_one_thresholds, stage_two_thresholds)
 from cdspack.errors import PostconditionViolation, ResampleBudgetExhausted
 from cdspack.params import PackingParams
+from cdspack.rand import rng_for
 
 
 def practice_params(n, d, eps=0.4, **kw):
     return derive_params(n, d, 2 * math.sqrt(d - 1) * 1.05, eps, "practice",
                          overrides={"m": 2, "D": 8}, **kw)
+
+
+def theory_params(n, d):
+    """A hand-built theory-mode grid; callers pass thresholds that terminate."""
+    return PackingParams(epsilon=0.4, d_star=4, r1=2, r2=2, p1=0.42, p2=0.5,
+                         b_prob=0.16, m=2, D=8, s=n // 2, mode="theory",
+                         n=n, d=d)
+
+
+# Reference loops: stage one and stage two as they were before violations were
+# tracked incrementally, rescanning the whole count matrix after every
+# resample. The incremental loops must pick the same events in the same order.
+
+def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None):
+    n, r1 = g.n, params.r1
+    rng = rng_for(seed, _STAGE1_TAG)
+    c1 = _draw_stage1(rng, n, params.b_prob, params.p1, r1)
+    lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (r1 + 1,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (r1 + 1,))
+    counts = _neighbor_counts(g, _column_labels(c1, r1), r1 + 1)
+    cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
+    resamples = 0
+    while True:
+        bad = (counts < lo) | (counts > hi)
+        flat = np.flatnonzero(bad.ravel())
+        if flat.size == 0:
+            break
+        v = int(flat[0]) // (r1 + 1)
+        resamples += 1
+        if resamples > cap:
+            raise ResampleBudgetExhausted(
+                f"stage one: {flat.size} bad events after {cap} resamples")
+        w = g.neighbors(v).astype(np.int64)
+        old_cols = _column_labels(c1[w], r1)
+        c1[w] = _draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
+        _shift_counts(g, counts, w, old_cols, _column_labels(c1[w], r1))
+    return ColorAssignment(c1=c1, c2=None, r1=r1, r2=params.r2, resamples=resamples)
+
+
+def reference_stage_two(g, stage1, params, seed, thresholds=None,
+                        max_resamples=None):
+    n = g.n
+    r1, r2 = stage1.r1, params.r2
+    d_star = r1 * r2
+    rng = rng_for(seed, _STAGE2_TAG)
+    c1 = stage1.c1
+    c2 = rng.integers(0, r2, size=n).astype(np.int32)
+    c2[c1 < 0] = -1
+    lo, hi = thresholds if thresholds is not None else stage_two_thresholds(params)
+    labels = c1.astype(np.int64) * r2 + c2
+    labels[c1 < 0] = -1
+    counts = _neighbor_counts(g, labels, d_star)
+    cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
+    resamples = 0
+    while True:
+        bad = (counts <= lo) | (counts >= hi)
+        flat = np.flatnonzero(bad.ravel())
+        if flat.size == 0:
+            break
+        idx = int(flat[0])
+        v, cls = idx // d_star, idx % d_star
+        c = cls // r2
+        resamples += 1
+        if resamples > cap:
+            raise ResampleBudgetExhausted(
+                f"stage two: {flat.size} bad events after {cap} resamples")
+        nbrs = g.neighbors(v).astype(np.int64)
+        members = nbrs[c1[nbrs] == c]
+        if members.size == 0:
+            raise ResampleBudgetExhausted(
+                f"stage two: event (v={v}, class={cls}) has no {c}-colored "
+                f"neighbors to resample")
+        if params.mode == "theory":
+            old = labels[members].copy()
+            c2[members] = rng.integers(0, r2, size=members.size).astype(np.int32)
+            labels[members] = c1[members].astype(np.int64) * r2 + c2[members]
+            _shift_counts(g, counts, members, old, labels[members])
+        else:
+            _repair_event(g, counts, labels, c2, members, c, cls, r2,
+                          int(counts[v, cls]) >= hi, lo, v)
+    return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
+                           resamples=stage1.resamples + resamples)
+
+
+def bad_event_count(exc_info) -> int:
+    found = re.search(r"(\d+) bad events after", str(exc_info.value))
+    assert found, str(exc_info.value)
+    return int(found.group(1))
+
+
+@pytest.mark.parametrize("n,d", [(3000, 16), (1500, 32)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_practice_stages_match_full_rescan(n, d, seed):
+    g = random_regular(n, d, seed)
+    pars = practice_params(n, d)
+    a1 = stage_one(g, pars, seed)
+    ref1 = reference_stage_one(g, pars, seed)
+    assert np.array_equal(a1.c1, ref1.c1)
+    assert a1.resamples == ref1.resamples
+    a2 = stage_two(g, a1, pars, seed)
+    ref2 = reference_stage_two(g, ref1, pars, seed)
+    assert np.array_equal(a2.c1, ref2.c1)
+    assert np.array_equal(a2.c2, ref2.c2)
+    assert a2.resamples == ref2.resamples
+    if d == 16:
+        # sparse enough that the first stage-two draw leaves classes missing
+        # from some neighborhoods, so practice mode runs its repair branch
+        assert a2.resamples > a1.resamples
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theory_rerandomize_matches_full_rescan(seed):
+    g = random_regular(400, 24, seed)
+    pars = theory_params(400, 24)
+    # stage one: every color and the reservoir seen at least twice
+    th1 = (np.array([2.0, 2.0, 2.0]), np.full(3, np.inf))
+    a1 = stage_one(g, pars, seed, thresholds=th1)
+    ref1 = reference_stage_one(g, pars, seed, thresholds=th1)
+    assert np.array_equal(a1.c1, ref1.c1)
+    assert a1.resamples == ref1.resamples
+    # stage two: every class seen, none more than eleven times
+    th2 = (0.0, 12.0)
+    a2 = stage_two(g, a1, pars, seed, thresholds=th2)
+    ref2 = reference_stage_two(g, ref1, pars, seed, thresholds=th2)
+    assert a2.resamples > a1.resamples  # the re-randomize branch ran
+    assert np.array_equal(a2.c2, ref2.c2)
+    assert a2.resamples == ref2.resamples
 
 
 def test_stage_one_degenerate_single_color():
@@ -50,9 +182,32 @@ def test_stage_one_impossible_thresholds_exhaust():
     g = random_regular(60, 4, 1)
     pars = practice_params(60, 4)
     lo = np.full(pars.r1 + 1, 10.0)  # degree is 4: unattainable
-    with pytest.raises(ResampleBudgetExhausted):
-        stage_one(g, pars, 1, thresholds=(lo, np.full(pars.r1 + 1, np.inf)),
-                  max_resamples=200)
+    th = (lo, np.full(pars.r1 + 1, np.inf))
+    with pytest.raises(ResampleBudgetExhausted) as got:
+        stage_one(g, pars, 1, thresholds=th, max_resamples=200)
+    with pytest.raises(ResampleBudgetExhausted) as want:
+        reference_stage_one(g, pars, 1, thresholds=th, max_resamples=200)
+    # every vertex violates every column, whatever the labels
+    assert bad_event_count(got) == bad_event_count(want) == 60 * (pars.r1 + 1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mode", ["practice", "theory"])
+def test_stage_two_impossible_band_exhausts(mode):
+    g = random_regular(300, 12, 4)
+    pars = practice_params(300, 12) if mode == "practice" else theory_params(300, 12)
+    a1 = stage_one(g, pars, 2, thresholds=(np.zeros(pars.r1 + 1),
+                                           np.full(pars.r1 + 1, np.inf)))
+    # bad iff count <= -1 or count >= 1: only an empty class is in band, and
+    # every vertex has colored neighbors, so no relabeling can clear it
+    th = (-1.0, 1.0)
+    with pytest.raises(ResampleBudgetExhausted) as got:
+        stage_two(g, a1, pars, 2, thresholds=th, max_resamples=40)
+    with pytest.raises(ResampleBudgetExhausted) as want:
+        reference_stage_two(g, a1, pars, 2, thresholds=th, max_resamples=40)
+    assert "after 40 resamples" in str(got.value)
+    assert bad_event_count(got) == bad_event_count(want) > 0
+    assert str(got.value) == str(want.value)
 
 
 def test_stage_two_preserves_stage_one():
