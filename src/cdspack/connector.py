@@ -1,12 +1,13 @@
 """Connect each dominating set through the reservoir.
 
-For one set: seed a linear forest with its representatives, then repeatedly
-(1) attach a bounded-arity tree to one endpoint of every current path,
-(2) split the trees into two collections and scan for a host edge between
-them, (3) add that edge, extract the unique tree-path it closes between two
-path endpoints, and (4) roll everything else back leaf-by-leaf. Each round
-merges exactly two paths, so a set with k representatives finishes after
-k - 1 rounds with a single path whose interior lies in the reservoir.
+For one set: seed a linear forest with one representative per component,
+then repeatedly (1) attach a bounded-arity tree to one endpoint of every
+current path, (2) label tree vertices by tree and take the first host edge,
+in ascending vertex order, whose ends lie in two different trees, (3) add
+that edge, extract the unique tree-path it closes between two path
+endpoints, and (4) roll everything else back leaf-by-leaf. Each round merges
+exactly two paths, so a set with k components finishes after k - 1 rounds
+with a single path whose interior lies in the reservoir.
 
 The forest is shared across sets and only ever grows by finalized path
 vertices; reservoir vertices are therefore used by at most one path across
@@ -16,7 +17,7 @@ the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log
+from math import log
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .spectral import expansion_check
 from .verifier import verify_packing
 
 STEP_RETRY_CAP = 6
-_SPLIT_TAG = 31
 
 
 @dataclass
@@ -89,29 +89,10 @@ class CdsPacking:
                    certificates=certs, paths=paths)
 
 
-def choose_representatives(g: Graph, family: DominatingFamily,
-                           params: PackingParams) -> list[list[int]]:
-    """Lowest-id vertex of each component of every set, padded to n/(2d).
-
-    Padding draws further lowest-id set members; it is always possible at the
-    target size because every dominating set in a d-regular graph has at
-    least n/(d+1) vertices.
-    """
-    target = ceil(params.n / (2 * params.d))
-    reps = []
-    for members in family.sets:
-        comps = components_of(g, members)
-        x = [comp[0] for comp in comps]
-        if len(x) < target:
-            chosen = set(x)
-            for v in members:
-                if len(x) >= target:
-                    break
-                if v not in chosen:
-                    x.append(v)
-                    chosen.add(v)
-        reps.append(sorted(x))
-    return reps
+def choose_representatives(g: Graph, family: DominatingFamily) -> list[list[int]]:
+    """Lowest-id vertex of each component of every set, in ascending order."""
+    return [[comp[0] for comp in components_of(g, members)]
+            for members in family.sets]
 
 
 class _StepFailed(Exception):
@@ -122,24 +103,6 @@ def _tree_size(params: PackingParams, k: int, arity: int, unused: int) -> int:
     base = min(params.s // (3 * k), params.d)
     capacity = unused // (2 * k)
     return max(arity + 1, min(base, capacity))
-
-
-def _find_cross_edge(gprime: Graph, side_a: list[int],
-                     b_mask: np.ndarray) -> tuple[int, int] | None:
-    """First host edge from side_a into the masked side, in (u, v) order."""
-    for u in sorted(side_a):
-        nbrs = gprime.neighbors(u)
-        hits = nbrs[b_mask[nbrs]]
-        if hits.size:
-            return u, int(hits[0])
-    return None
-
-
-def _collect(trees, picks) -> tuple[list[int], set[int]]:
-    verts: list[int] = []
-    for i in picks:
-        verts.extend(trees[i].vertices)
-    return verts, set(picks)
 
 
 def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]],
@@ -169,23 +132,16 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
             rollback(forest, t.added)
         raise _StepFailed() from None
 
-    splits = [list(range(k))]
-    shuffled = rng_for(*seed_tags, _SPLIT_TAG).permutation(k).tolist()
-    splits.append(shuffled)
+    tree_of = np.full(gprime.n, -1, dtype=np.int64)
+    for i, t in enumerate(trees):
+        tree_of[t.vertices] = i
     edge = None
-    picks_a = picks_b = None
-    for split in splits:
-        ia, ib = split[:k // 2], split[k // 2:]
-        va, sa = _collect(trees, ia)
-        vb, sb = _collect(trees, ib)
-        if len(va) > len(vb):
-            va, vb = vb, va
-            ia, ib = ib, ia
-        mask = np.zeros(gprime.n, dtype=bool)
-        mask[vb] = True
-        edge = _find_cross_edge(gprime, va, mask)
-        if edge is not None:
-            picks_a, picks_b = ia, ib
+    for u in np.flatnonzero(tree_of >= 0).tolist():
+        nbrs = gprime.neighbors(u)
+        labels = tree_of[nbrs]
+        hits = nbrs[(labels >= 0) & (labels != tree_of[u])]
+        if hits.size:
+            edge = u, int(hits[0])
             break
     if edge is None:
         for t in trees:
@@ -193,13 +149,9 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
         raise _StepFailed()
 
     u, v = edge
-    tree_of = {}
-    for i, t in enumerate(trees):
-        for w in t.vertices:
-            tree_of[w] = i
-    ta, tb = trees[tree_of[u]], trees[tree_of[v]]
-    chain_a = ta.path_to_root(u)   # u ... root_a
-    chain_b = tb.path_to_root(v)   # v ... root_b
+    ia, ib = int(tree_of[u]), int(tree_of[v])
+    chain_a = trees[ia].path_to_root(u)   # u ... root_a
+    chain_b = trees[ib].path_to_root(v)   # v ... root_b
     add_edge(forest, u, v)
     full_chain = list(reversed(chain_a)) + chain_b  # root_a .. u v .. root_b
     keep = set(full_chain)
@@ -210,9 +162,7 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
     internal = full_chain[1:-1]
     forest.protected.update(internal)
 
-    root_a, root_b = full_chain[0], full_chain[-1]
-    idx_a = next(idx for e, idx in entries if e == root_a)
-    idx_b = next(idx for e, idx in entries if e == root_b)
+    (root_a, idx_a), (root_b, idx_b) = entries[ia], entries[ib]
     pa = paths[idx_a] if paths[idx_a][-1] == root_a else list(reversed(paths[idx_a]))
     pb = paths[idx_b] if paths[idx_b][0] == root_b else list(reversed(paths[idx_b]))
     merged = pa + internal + pb
@@ -225,7 +175,7 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
 def connect_one(g: Graph, gprime: Graph, forest: ExtendableForest,
                 x_local: list[int], set_index: int, params: PackingParams,
                 seed: int) -> list[PathRecord]:
-    """Merge the representatives of one set into a single path.
+    """Merge the representatives of one set's components into a single path.
 
     Maintains the loop invariants: path interiors in the reservoir, one fewer
     component per round, recorded per-round length bounds (enforced in theory
@@ -297,19 +247,15 @@ def spanning_certificate(g: Graph, members: list[int]) -> list[tuple[int, int]]:
 
 
 def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
-                   seed: int, max_sets: int | None = None,
-                   on_set_failure: str = "raise") -> CdsPacking:
+                   seed: int, max_sets: int | None = None) -> CdsPacking:
     """Run the connector over every set and assemble a verified packing.
 
     `max_sets` caps how many sets are connected (a partial packing is still
-    sound, just smaller). With on_set_failure="skip", a set whose connection
-    fails is left out of the packing instead of aborting the run; its
-    already-finalized paths stay in the forest, so reservoir discipline is
-    unaffected.
+    sound, just smaller). A set whose connection fails is left out of the
+    packing and listed in `meta["failed_sets"]`; its already-finalized paths
+    stay in the forest, so reservoir discipline is unaffected.
     """
-    if on_set_failure not in ("raise", "skip"):
-        raise ValueError("on_set_failure must be 'raise' or 'skip'")
-    reps = choose_representatives(g, family, params)
+    reps = choose_representatives(g, family)
     count = len(reps) if max_sets is None else min(len(reps), max_sets)
     chosen = list(range(count))
     if not chosen:
@@ -324,7 +270,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
 
     forest = new_forest(gprime, [local[v] for v in x_union], params.m, params.D,
                         params.s, to_global=to_global)
-    forest.expansion_certified = _certify_expansion(g, family, params, x_union)
+    certified = _certify_expansion(g, family, params, x_union)
 
     b_set = set(family.reservoir)
     records: list[PathRecord] = []
@@ -337,9 +283,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
         try:
             recs = connect_one(g, gprime, forest, [local[v] for v in reps[i]],
                                i, params, seed)
-        except (NoCrossEdge, EmbeddingFailed, BudgetExceeded) as exc:
-            if on_set_failure == "raise":
-                raise
+        except (NoCrossEdge, EmbeddingFailed, BudgetExceeded):
             failed_sets.append(i)
             continue
         for rec in recs:
@@ -375,7 +319,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
             "family_indices": connected_sets,
             "failed_sets": failed_sets,
             "total_internal": total_internal,
-            "expansion_certified": forest.expansion_certified,
+            "expansion_certified": certified,
         },
     )
     report = verify_packing(g, packing)

@@ -64,7 +64,6 @@ class EmbeddedTree:
     vertices: list[int]
     added: list[int]              # vertices minus the root
     parent: dict[int, int]
-    depth: dict[int, int]
 
     def path_to_root(self, v: int) -> list[int]:
         chain = [v]
@@ -88,7 +87,6 @@ class ExtendableForest:
     budget_s: int
     adj: dict[int, list[int]] = field(default_factory=dict)
     protected: set[int] = field(default_factory=set)
-    expansion_certified: bool = False
 
     @property
     def size(self) -> int:
@@ -117,8 +115,7 @@ class ExtendableForest:
 
 
 def new_forest(gprime: Graph, x, m: int, D: int, s: int,
-               to_global: list[int] | None = None,
-               expansion_certified: bool = False) -> ExtendableForest:
+               to_global: list[int] | None = None) -> ExtendableForest:
     """Seed a forest with the independent set on x (vertices, no edges)."""
     members = sorted({int(v) for v in x})
     if not members:
@@ -132,9 +129,7 @@ def new_forest(gprime: Graph, x, m: int, D: int, s: int,
     forest = ExtendableForest(
         host=gprime,
         to_global=list(to_global) if to_global is not None else list(range(gprime.n)),
-        m=m, D=D, budget_s=s,
-        expansion_certified=expansion_certified,
-    )
+        m=m, D=D, budget_s=s)
     for v in members:
         forest.adj[v] = []
         forest.protected.add(v)
@@ -160,7 +155,7 @@ def attach_tree(forest: ExtendableForest, root: int, spec: TreeSpec,
             f"forest size {forest.size} + tree size {spec.size} exceeds "
             f"budget {forest.budget_s}")
     if spec.size == 1:
-        return EmbeddedTree(root, [root], [], {}, {root: 0})
+        return EmbeddedTree(root, [root], [], {})
     depth_cap = spec.depth_cap
     if depth_cap is None:
         depth_cap = balanced_depth(spec.size, spec.arity) + 1
@@ -184,7 +179,6 @@ def _try_embed(forest: ExtendableForest, root: int, arity: int, size: int,
     host = forest.host
     new_set: set[int] = set()
     parent: dict[int, int] = {}
-    depth = {root: 0}
     order = [root]
     level = [root]
     placed = 1
@@ -214,14 +208,13 @@ def _try_embed(forest: ExtendableForest, root: int, arity: int, size: int,
             for w in cand[:min(arity, size - placed)]:
                 new_set.add(w)
                 parent[w] = node
-                depth[w] = lvl
                 order.append(w)
                 next_level.append(w)
                 placed += 1
         if not next_level:
             return None
         level = next_level
-    return EmbeddedTree(root, order, order[1:], parent, depth)
+    return EmbeddedTree(root, order, order[1:], parent)
 
 
 def add_edge(forest: ExtendableForest, u: int, v: int) -> None:

@@ -97,8 +97,7 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     try:
         t0 = time.perf_counter()
         packing = connector.connect_family(g, family, pars, seed,
-                                           max_sets=max_sets,
-                                           on_set_failure="skip")
+                                           max_sets=max_sets)
         timings["connect"] = time.perf_counter() - t0
     except CdsPackError as exc:
         return fail("connect", exc)

@@ -33,28 +33,71 @@ def crafted_params(**kw):
     return PackingParams(**base)
 
 
-def test_choose_representatives_components_and_padding():
-    g, reservoir = two_cliques_with_reservoir()
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 10]],
-                           component_counts=[2])
-    # d = 20 makes the padding target ceil(40/40) = 1: no padding
-    reps = choose_representatives(g, fam, crafted_params())
-    assert reps == [[0, 10]]
-    # d = 4 forces padding to ceil(40/8) = 5, but |S| = 3 caps it
-    reps = choose_representatives(g, fam, crafted_params(d=4))
-    assert reps == [[0, 1, 10]]
+def lowest_per_component(g, members):
+    """Minimum of each component of g[members], by union-find over its edges."""
+    root = {v: v for v in members}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u in members:
+        for w in g.neighbors(u).tolist():
+            if w in root:
+                root[find(w)] = find(u)
+    lows = {}
+    for v in members:
+        lows[find(v)] = min(lows.get(find(v), v), v)
+    return sorted(lows.values())
 
 
-def test_padding_arithmetic_on_generated_instance():
+def generated_family():
     g = random_regular(400, 8, 2)
     pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice",
                          overrides={"m": 2, "D": 8})
     fam = build_family(g, stage_two(g, stage_one(g, pars, 4), pars, 4), pars)
-    reps = choose_representatives(g, fam, pars)
-    target = math.ceil(400 / 16)
+    return g, fam, pars
+
+
+def test_choose_representatives_components_and_padding():
+    g, reservoir = two_cliques_with_reservoir()
+    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 10]],
+                           component_counts=[2])
+    assert choose_representatives(g, fam) == [[0, 10]]
+    # extra vertices of an already-seeded component are not padded in
+    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 2, 10, 11]],
+                           component_counts=[2])
+    assert choose_representatives(g, fam) == [[0, 10]]
+
+
+def test_padding_arithmetic_on_generated_instance():
+    g, fam, _ = generated_family()
+    reps = choose_representatives(g, fam)
+    # one representative per component, not max(k, min(ceil(n/(2d)), |S|))
     for members, x, k in zip(fam.sets, reps, fam.component_counts):
-        assert len(x) == max(k, min(target, len(members)))
+        assert len(x) == k
         assert set(x) <= set(members)
+    assert reps == [lowest_per_component(g, members) for members in fam.sets]
+
+
+def test_generated_instance_stitches_each_component_once():
+    g, fam, pars = generated_family()
+    assert fam.component_counts == [1, 2]
+    packing = connect_family(g, fam, pars, seed=1)
+    assert packing.meta["family_indices"] == [0, 1]
+    assert packing.meta["failed_sets"] == []
+    assert [p.set_index for p in packing.paths] == [1]
+    assert verify_packing(g, packing, target=2).failures == []
+
+
+def test_one_path_per_missing_join_not_per_padded_representative():
+    g, reservoir = two_cliques_with_reservoir()
+    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 2, 10, 11]],
+                           component_counts=[2])
+    packing = connect_family(g, fam, crafted_params(d=4), seed=1)
+    assert len(packing.paths) == 1
+    assert set(packing.paths[0].endpoints) == {0, 10}
 
 
 def test_connect_two_components_single_path():
@@ -137,7 +180,7 @@ def test_pipeline_end_to_end_small():
     pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice",
                          overrides={"m": 2, "D": 8})
     fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
-    packing = connect_family(g, fam, pars, seed=1, on_set_failure="skip")
+    packing = connect_family(g, fam, pars, seed=1)
     report = verify_packing(g, packing, target=1)
     assert report.failures == []
     assert report.target_met
