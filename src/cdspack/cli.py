@@ -159,9 +159,13 @@ def run_pack(args) -> int:
 def _trial_code(result: pipeline.PackResult) -> int:
     if result.error is not None:
         return _code_for(result.error)
-    v = result.verification
-    ok = not v.failures and v.target_met is not False
-    return 0 if ok else EXIT_CODES["verification"]
+    return _verdict(result.verification)
+
+
+def _verdict(report: verifier.VerificationReport) -> int:
+    """Exit code of a verification: ok when clean with its target (if any) met."""
+    ok = not report.failures and report.target_met is not False
+    return EXIT_CODES["ok"] if ok else EXIT_CODES["verification"]
 
 
 def _config_echo(args) -> dict:
@@ -191,8 +195,7 @@ def run_verify(args) -> int:
     report["timings"]["verify"] = time.perf_counter() - t0
     report["verification"] = vreport.to_json()
     _emit(report, args.report)
-    ok = not vreport.failures and (vreport.target_met is not False)
-    return 0 if ok else EXIT_CODES["verification"]
+    return _verdict(vreport)
 
 
 def _positive_int(text: str) -> int:

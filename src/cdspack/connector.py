@@ -10,8 +10,8 @@ exactly two paths, so a set with k components finishes after k - 1 rounds
 with a single path whose interior lies in the reservoir.
 
 The forest is shared across sets and only ever grows by finalized path
-vertices; reservoir vertices are therefore used by at most one path across
-the whole run.
+vertices of sets that connect (a failed set's paths are undone); reservoir
+vertices are therefore used by at most one path across the whole run.
 """
 
 from __future__ import annotations
@@ -252,8 +252,9 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
 
     `max_sets` caps how many sets are connected (a partial packing is still
     sound, just smaller). A set whose connection fails is left out of the
-    packing and listed in `meta["failed_sets"]`; its already-finalized paths
-    stay in the forest, so reservoir discipline is unaffected.
+    packing and listed in `meta["failed_sets"]`; the forest is restored to
+    its state before that set, so the reservoir vertices of its
+    already-finalized paths stay open to the sets after it.
     """
     reps = choose_representatives(g, family)
     count = len(reps) if max_sets is None else min(len(reps), max_sets)
@@ -273,45 +274,40 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     certified = _certify_expansion(g, family, params, x_union)
 
     b_set = set(family.reservoir)
-    records: list[PathRecord] = []
-    connected_sets: list[int] = []
-    failed_sets: list[int] = []
-    for i in chosen:
-        if family.component_counts[i] == 1:
-            connected_sets.append(i)  # already connected: zero paths
-            continue
-        try:
-            recs = connect_one(g, gprime, forest, [local[v] for v in reps[i]],
-                               i, params, seed)
-        except (NoCrossEdge, EmbeddingFailed, BudgetExceeded):
-            failed_sets.append(i)
-            continue
-        for rec in recs:
-            bad = [v for v in rec.internal if v not in b_set]
-            if bad:
-                raise CdsPackError(f"internal vertices {bad} are not in the reservoir")
-        records.extend(recs)
-        connected_sets.append(i)
-
-    internal_by_set: dict[int, list[int]] = {}
-    for rec in records:
-        internal_by_set.setdefault(rec.set_index, []).extend(rec.internal)
-    total_internal = sum(len(v) for v in internal_by_set.values())
-    if params.mode == "theory" and total_internal > params.s / 2:
-        raise BudgetExceeded(
-            f"total path vertices {total_internal} exceed s/2 = {params.s / 2}")
-
     sets_out: list[list[int]] = []
     certs: list[list[tuple[int, int]]] = []
     paths_out: list[PathRecord] = []
-    for out_idx, i in enumerate(connected_sets):
-        members = sorted(set(family.sets[i]) | set(internal_by_set.get(i, [])))
+    connected_sets: list[int] = []
+    failed_sets: list[int] = []
+    total_internal = 0
+    for i in chosen:
+        recs: list[PathRecord] = []
+        if family.component_counts[i] > 1:
+            adj = {v: list(nbrs) for v, nbrs in forest.adj.items()}
+            protected = set(forest.protected)
+            try:
+                recs = connect_one(g, gprime, forest, [local[v] for v in reps[i]],
+                                   i, params, seed)
+            except (NoCrossEdge, EmbeddingFailed, BudgetExceeded):
+                forest.adj, forest.protected = adj, protected
+                failed_sets.append(i)
+                continue
+        internal = [v for rec in recs for v in rec.internal]
+        bad = [v for v in internal if v not in b_set]
+        if bad:
+            raise CdsPackError(f"internal vertices {bad} are not in the reservoir")
+        total_internal += len(internal)
+        members = sorted(set(family.sets[i]) | set(internal))
         sets_out.append(members)
         certs.append(spanning_certificate(g, members))
-        for rec in records:
-            if rec.set_index == i:
-                paths_out.append(PathRecord(rec.endpoints, rec.internal, out_idx,
-                                            rec.length, rec.length_bound))
+        for rec in recs:
+            rec.set_index = len(connected_sets)  # index into the packing's sets
+        paths_out.extend(recs)
+        connected_sets.append(i)
+
+    if params.mode == "theory" and total_internal > params.s / 2:
+        raise BudgetExceeded(
+            f"total path vertices {total_internal} exceed s/2 = {params.s / 2}")
 
     packing = CdsPacking(
         params=params, sets=sets_out, certificates=certs, paths=paths_out,

@@ -1,11 +1,11 @@
 """Spectral measurements and the expansion checks the pipeline relies on.
 
 lambda = max(lambda_2, |lambda_n|) is always *measured*, never assumed: for
-small graphs by dense symmetric eigendecomposition, for large ones by Lanczos
-(ARPACK) on the adjacency operator with the all-ones direction shifted out of
-the way (valid because the top eigenvector of a connected regular graph is
-the all-ones vector). Estimates coming from the iterative path get a +5%
-safety margin before being consumed by parameter derivation.
+small graphs by dense symmetric eigendecomposition, for large ones by one
+Lanczos call (ARPACK) on the adjacency operator with the all-ones direction
+deflated (the all-ones vector is an eigenvector of every regular graph, with
+eigenvalue d). Estimates coming from the iterative path get a +5% safety
+margin before being consumed by parameter derivation.
 """
 
 from __future__ import annotations
@@ -74,11 +74,7 @@ def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
 
 
 def _dense_extremal(g: Graph) -> tuple[float, float]:
-    a = np.zeros((g.n, g.n))
-    edges = g.edge_array()
-    a[edges[:, 0], edges[:, 1]] = 1.0
-    a[edges[:, 1], edges[:, 0]] = 1.0
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(_adjacency_csr(g).toarray())
     return float(w[-2]), float(w[0])
 
 
@@ -87,38 +83,30 @@ def _adjacency_csr(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
-def _iterative_extremal(g: Graph, tol: float, maxiter: int | None = None) -> tuple[float, float]:
-    """Lanczos estimates of lambda_2 and lambda_n.
+def _iterative_extremal(g: Graph, tol: float) -> tuple[float, float]:
+    """Lanczos estimates of lambda_2 and lambda_n from one call at both ends.
 
-    The all-ones eigenvalue d is shifted to -d (resp. +3d) by adding a rank-one
-    multiple of J/n, so the wanted eigenvalue is extremal for ARPACK in both
-    calls regardless of sign patterns in the rest of the spectrum.
+    x -> A x - d*mean(x) moves the all-ones eigenvalue d to 0 and keeps the
+    rest of the spectrum. trace A = 0 gives lambda_n < 0 once there is an
+    edge, and interlacing on the zero 2x2 block of any non-adjacent pair
+    gives lambda_2 >= 0: the two ends of the deflated spectrum are lambda_n
+    and lambda_2. Only K_n (d = n - 1) has no such pair; its lambda_2 =
+    lambda_n = -1.
     """
     d = _require_regular(g)
     n = g.n
     if d == 0:
         return 0.0, 0.0
+    if d == n - 1:
+        return -1.0, -1.0
     a = _adjacency_csr(g)
-    shift = 2.0 * d
-
-    def mv_down(x):
-        return a @ x - shift * x.mean()
-
-    def mv_up(x):
-        return a @ x + shift * x.mean()
-
+    op = spla.LinearOperator((n, n), matvec=lambda x: a @ x - d * x.mean(), dtype=float)
     v0 = rng_for(_V0_TAG, n).standard_normal(n)
-    kwargs = dict(k=1, tol=tol, v0=v0, return_eigenvectors=False)
-    if maxiter is not None:
-        kwargs["maxiter"] = maxiter
     try:
-        op = spla.LinearOperator((n, n), matvec=mv_down, dtype=float)
-        lambda2 = float(spla.eigsh(op, which="LA", **kwargs)[0])
-        op = spla.LinearOperator((n, n), matvec=mv_up, dtype=float)
-        lambda_n = float(spla.eigsh(op, which="SA", **kwargs)[0])
+        w = spla.eigsh(op, k=2, which="BE", tol=tol, v0=v0, return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise EigenConvergenceError(f"Lanczos did not converge: {exc}") from None
-    return lambda2, lambda_n
+    return float(w.max()), float(w.min())
 
 
 def lambda_with_margin(profile: SpectralProfile) -> float:

@@ -5,6 +5,7 @@ import pytest
 from cdspack import (Graph, choose_representatives, complete_graph,
                      connect_family, derive_params, random_regular,
                      verify_packing, build_family, stage_one, stage_two)
+from cdspack import connector
 from cdspack.coloring import DominatingFamily
 from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError
@@ -136,6 +137,38 @@ def test_connect_three_components_two_paths():
     internals = [v for p in packing.paths for v in p.internal]
     assert len(internals) == len(set(internals))  # single-use reservoir discipline
     assert verify_packing(g, packing).failures == []
+
+
+def test_failed_set_gives_back_its_paths(monkeypatch):
+    # A=0..9 and C=10..19 meet through reservoir R1=20..39; E=40..49 reaches
+    # only R2=50..59, so set {0, 10, 40} merges once, then finds no cross edge
+    groups = [list(range(10)), list(range(10, 20)), list(range(20, 40)),
+              list(range(40, 50)), list(range(50, 60))]
+    edges = [(u, v) for grp in groups for i, u in enumerate(grp) for v in grp[i + 1:]]
+    edges += [(v, r) for v in groups[0] + groups[1] for r in groups[2]]
+    edges += [(v, r) for v in groups[3] for r in groups[4]]
+    g = Graph(60, edges)
+    reservoir = groups[2] + groups[4]
+    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10, 40]],
+                           component_counts=[3])
+    real = connector.connect_one
+    seen = []
+
+    def spy(g, gprime, forest, *args):
+        try:
+            return real(g, gprime, forest, *args)
+        finally:
+            seen.append((forest, {forest.to_global[v] for v in forest.adj}))
+
+    monkeypatch.setattr(connector, "connect_one", spy)
+    packing = connect_family(g, fam, crafted_params(n=60), seed=1)
+    assert packing.meta["failed_sets"] == [0] and packing.sets == []
+    [(forest, at_failure)] = seen
+    spent = at_failure - {0, 10, 40}
+    assert spent and spent <= set(groups[2])  # the first merge's path
+    assert {forest.to_global[v] for v in forest.adj} == {0, 10, 40}
+    assert {forest.to_global[v] for v in forest.protected} == {0, 10, 40}
+    assert all(nbrs == [] for nbrs in forest.adj.values())
 
 
 def test_connected_set_yields_zero_paths():

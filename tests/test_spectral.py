@@ -1,5 +1,7 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cdspack import (complete_graph, cycle_graph, expansion_check,
@@ -7,8 +9,9 @@ from cdspack import (complete_graph, cycle_graph, expansion_check,
                      petersen_graph, random_regular)
 from cdspack.errors import NonRegularGraph
 from cdspack.graph import Graph
+from cdspack import spectral
 from cdspack.rand import rng_for
-from cdspack.spectral import _dense_extremal, _iterative_extremal
+from cdspack.spectral import DENSE_LIMIT, _dense_extremal, _iterative_extremal
 
 
 def test_complete_graph_spectrum():
@@ -50,6 +53,48 @@ def test_iterative_matches_dense_small():
         l2_i, ln_i = _iterative_extremal(g, tol)
         assert l2_i == pytest.approx(l2_d, abs=10 * tol + 1e-8)
         assert ln_i == pytest.approx(ln_d, abs=10 * tol + 1e-8)
+
+
+def test_iterative_path_makes_one_lanczos_call(monkeypatch):
+    real = spectral.spla
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs)
+        return real.eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spla", SimpleNamespace(
+        LinearOperator=real.LinearOperator, eigsh=eigsh,
+        ArpackNoConvergence=real.ArpackNoConvergence))
+    tol = 1e-8
+    g = random_regular(600, 8, 4)
+    l2_i, ln_i = _iterative_extremal(g, tol)
+    assert len(calls) == 1
+    l2_d, ln_d = _dense_extremal(g)
+    assert l2_i == pytest.approx(l2_d, abs=10 * tol * 8)
+    assert ln_i == pytest.approx(ln_d, abs=10 * tol * 8)
+
+
+def two_copies(g):
+    e = g.edge_array()
+    return Graph(2 * g.n, np.vstack([e, e + g.n]).tolist())
+
+
+@pytest.mark.parametrize("g, lambda2, lambda_n", [
+    (complete_graph(600), -1.0, -1.0),           # the one graph with lambda_2 < 0
+    (two_copies(random_regular(600, 6, 3)), 6.0, None),  # disconnected: d repeats
+    (cycle_graph(600), None, -2.0),              # bipartite: -d is an eigenvalue
+], ids=["K600", "two-copies", "C600"])
+def test_iterative_path_known_spectra(g, lambda2, lambda_n):
+    tol = 1e-6
+    assert g.n > DENSE_LIMIT
+    prof = extremal_eigenvalues(g, tol=tol)
+    assert prof.method == "iterative"
+    scale = max(1.0, abs(prof.lambda2), abs(prof.lambda_n))
+    if lambda2 is not None:
+        assert prof.lambda2 == pytest.approx(lambda2, abs=10 * tol * scale)
+    if lambda_n is not None:
+        assert prof.lambda_n == pytest.approx(lambda_n, abs=10 * tol * scale)
 
 
 def test_margin_applies_to_iterative_only():
