@@ -2,8 +2,9 @@
 
 Every run emits a single JSON report (stdout, or --report FILE) whose keys
 are deterministic for a fixed config and seed; wall-clock timings live under
-the separate "timings" key so reports stay diffable. Exit codes are mapped
-per error class, see EXIT_CODES.
+the separate "timings" key so reports stay diffable. A failed run reports
+its phase under "error"; phases fed by arguments catch _CAUGHT, coloring and
+connect only CdsPackError, and _ERROR_CODE maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (BudgetExceeded, CdsPackError, EigenConvergenceError,
                      EmbeddingFailed, GenerationError, GraphFormatError,
                      InfeasibleParameters, NoCrossEdge, NonRegularGraph,
                      PostconditionViolation, ResampleBudgetExhausted,
-                     VerificationFailed)
+                     VerificationFailed, error_body)
 from .graph import load_graph, save_graph
 
 EXIT_CODES = {
@@ -34,20 +35,19 @@ EXIT_CODES = {
     "spectral": 9,         # NonRegularGraph / EigenConvergenceError
 }
 
-_ERROR_CODE = {
-    GraphFormatError: "input",
-    GenerationError: "input",
+_ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
+    (GraphFormatError, GenerationError, OSError, json.JSONDecodeError,
+     KeyError): "input",  # KeyError: a packing file that lacks a key
     InfeasibleParameters: "infeasible",
     ResampleBudgetExhausted: "resample",
     PostconditionViolation: "postcondition",
-    EmbeddingFailed: "connect",
-    NoCrossEdge: "connect",
-    BudgetExceeded: "connect",
+    (EmbeddingFailed, NoCrossEdge, BudgetExceeded): "connect",
     VerificationFailed: "verification",
-    NonRegularGraph: "spectral",
-    EigenConvergenceError: "spectral",
-    OSError: "input",
+    (NonRegularGraph, EigenConvergenceError): "spectral",
+    ValueError: "usage",  # an invalid numeric argument
 }
+# the failures reported by a phase that command-line arguments feed
+_CAUGHT = (CdsPackError, OSError, KeyError, ValueError)
 
 
 def _code_for(exc: Exception) -> int:
@@ -84,11 +84,10 @@ def run_gen(args) -> int:
     try:
         g = generators.generate(spec)
         save_graph(g, args.out)
-    except (ValueError, CdsPackError) as exc:
-        report["error"] = {"phase": "generate", "type": type(exc).__name__,
-                           "message": str(exc)}
+    except _CAUGHT as exc:
+        report["error"] = error_body("generate", exc)
         _emit(report, args.report)
-        return _code_for(exc) if isinstance(exc, CdsPackError) else EXIT_CODES["usage"]
+        return _code_for(exc)
     report["timings"]["generate"] = time.perf_counter() - t0
     report["graph"] = {"n": g.n, "m": g.m}
     _emit(report, args.report)
@@ -97,14 +96,15 @@ def run_gen(args) -> int:
 
 def run_spectrum(args) -> int:
     report: dict = {"config": {"input": args.input, "tol": args.tol}, "timings": {}}
+    phase = "load"
     try:
         g = load_graph(args.input)
+        phase = "spectral"
         t0 = time.perf_counter()
         profile = spectral.extremal_eigenvalues(g, tol=args.tol)
         report["timings"]["spectral"] = time.perf_counter() - t0
-    except CdsPackError as exc:
-        report["error"] = {"phase": "spectral", "type": type(exc).__name__,
-                           "message": str(exc)}
+    except _CAUGHT as exc:
+        report["error"] = error_body(phase, exc)
         _emit(report, args.report)
         return _code_for(exc)
     report["spectral"] = profile.to_json()
@@ -127,8 +127,8 @@ def run_pack(args) -> int:
         profile = spectral.extremal_eigenvalues(g, tol=args.tol)
         timings["spectral"] = time.perf_counter() - t0
         shared["spectral"] = profile.to_json()
-    except (CdsPackError, OSError) as exc:
-        error = {"phase": phase, "type": type(exc).__name__, "message": str(exc)}
+    except _CAUGHT as exc:
+        error = error_body(phase, exc)
         bodies = [{"seed": s, "timings": {}, **shared, "error": error} for s in seeds]
         code = _code_for(exc)
     else:
@@ -185,11 +185,10 @@ def run_verify(args) -> int:
         g = load_graph(args.input)
         with open(args.packing, "r", encoding="utf-8") as fh:
             packing = connector.CdsPacking.from_json(json.load(fh))
-    except (CdsPackError, OSError, KeyError, json.JSONDecodeError) as exc:
-        report["error"] = {"phase": "load", "type": type(exc).__name__,
-                           "message": str(exc)}
+    except _CAUGHT as exc:
+        report["error"] = error_body("load", exc)
         _emit(report, args.report)
-        return EXIT_CODES["input"]
+        return _code_for(exc)
     t0 = time.perf_counter()
     vreport = verifier.verify_packing(g, packing, target=args.target)
     report["timings"]["verify"] = time.perf_counter() - t0
@@ -222,11 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--report")
+    g.set_defaults(run=run_gen)
 
     s = sub.add_parser("spectrum", help="measure extremal adjacency eigenvalues")
     s.add_argument("--input", required=True)
     s.add_argument("--tol", type=float, default=1e-9)
     s.add_argument("--report")
+    s.set_defaults(run=run_spectrum)
 
     p = sub.add_parser("pack", help="run the full packing pipeline")
     p.add_argument("--input")
@@ -243,32 +244,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--report")
     p.add_argument("--packing-out", dest="packing_out")
+    p.set_defaults(run=run_pack)
 
     v = sub.add_parser("verify", help="verify a packing JSON against a graph")
     v.add_argument("--input", required=True)
     v.add_argument("--packing", required=True)
     v.add_argument("--target", type=int)
     v.add_argument("--report")
+    v.set_defaults(run=run_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "gen":
-            return run_gen(args)
-        if args.command == "spectrum":
-            return run_spectrum(args)
-        if args.command == "pack":
-            return run_pack(args)
-        if args.command == "verify":
-            return run_verify(args)
-    except CdsPackError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}, sort_keys=True))
-        return _code_for(exc)
-    return EXIT_CODES["usage"]
+    args = _build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

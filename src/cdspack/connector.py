@@ -30,7 +30,7 @@ from .graph import Graph, components_of, induced_subgraph
 from .params import PackingParams
 from .rand import rng_for
 from .spectral import expansion_check
-from .verifier import verify_packing
+from .verifier import VerificationReport, verify_packing
 
 STEP_RETRY_CAP = 6
 
@@ -62,6 +62,7 @@ class CdsPacking:
     certificates: list[list[tuple[int, int]]]
     paths: list[PathRecord]
     meta: dict = field(default_factory=dict)
+    verification: VerificationReport | None = None  # not in the JSON
 
     def to_json(self) -> dict:
         params = self.params.to_json() if hasattr(self.params, "to_json") else self.params
@@ -105,7 +106,7 @@ def _tree_size(params: PackingParams, k: int, arity: int, unused: int) -> int:
     return max(arity + 1, min(base, capacity))
 
 
-def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]],
+def _connect_step(forest: ExtendableForest, paths: list[list[int]],
                   params: PackingParams, arity: int, depth_cap: int,
                   seed_tags: tuple) -> tuple[list[int], int, int]:
     """One merge round. Returns (internal chain, root_a, root_b).
@@ -116,7 +117,7 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
     """
     k = len(paths)
     entries = sorted((min(p[0], p[-1]), idx) for idx, p in enumerate(paths))
-    unused = gprime.n - forest.size
+    unused = forest.host.n - forest.size
     size = _tree_size(params, k, arity, unused)
     spec = TreeSpec(arity=arity, size=size,
                     depth_cap=min(depth_cap, balanced_depth(size, arity) + 1))
@@ -132,12 +133,12 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
             rollback(forest, t.added)
         raise _StepFailed() from None
 
-    tree_of = np.full(gprime.n, -1, dtype=np.int64)
+    tree_of = np.full(forest.host.n, -1, dtype=np.int64)
     for i, t in enumerate(trees):
         tree_of[t.vertices] = i
     edge = None
     for u in np.flatnonzero(tree_of >= 0).tolist():
-        nbrs = gprime.neighbors(u)
+        nbrs = forest.host.neighbors(u)
         labels = tree_of[nbrs]
         hits = nbrs[(labels >= 0) & (labels != tree_of[u])]
         if hits.size:
@@ -172,9 +173,8 @@ def _connect_step(gprime: Graph, forest: ExtendableForest, paths: list[list[int]
     return internal, root_a, root_b
 
 
-def connect_one(g: Graph, gprime: Graph, forest: ExtendableForest,
-                x_local: list[int], set_index: int, params: PackingParams,
-                seed: int) -> list[PathRecord]:
+def connect_one(forest: ExtendableForest, x_local: list[int], set_index: int,
+                params: PackingParams, seed: int) -> list[PathRecord]:
     """Merge the representatives of one set's components into a single path.
 
     Maintains the loop invariants: path interiors in the reservoir, one fewer
@@ -194,7 +194,7 @@ def connect_one(g: Graph, gprime: Graph, forest: ExtendableForest,
         for retry in range(STEP_RETRY_CAP):
             try:
                 internal, root_a, root_b = _connect_step(
-                    gprime, forest, paths, params, arity, depth_cap,
+                    forest, paths, params, arity, depth_cap,
                     (seed, set_index, step, retry))
                 break
             except _StepFailed:
@@ -254,15 +254,17 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     sound, just smaller). A set whose connection fails is left out of the
     packing and listed in `meta["failed_sets"]`; the forest is restored to
     its state before that set, so the reservoir vertices of its
-    already-finalized paths stay open to the sets after it.
+    already-finalized paths stay open to the sets after it. Each packing
+    returned, even an empty one, carries its one `verify_packing` report.
     """
     reps = choose_representatives(g, family)
     count = len(reps) if max_sets is None else min(len(reps), max_sets)
     chosen = list(range(count))
     if not chosen:
-        return CdsPacking(params=params, sets=[], certificates=[], paths=[],
-                          meta={"family_indices": [], "failed_sets": [],
-                                "total_internal": 0, "expansion_certified": False})
+        return _verified(g, CdsPacking(
+            params=params, sets=[], certificates=[], paths=[],
+            meta={"family_indices": [], "failed_sets": [],
+                  "total_internal": 0, "expansion_certified": False}))
 
     x_union = sorted({v for i in chosen for v in reps[i]})
     hosts = sorted(set(x_union) | set(family.reservoir))
@@ -286,8 +288,8 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
             adj = {v: list(nbrs) for v, nbrs in forest.adj.items()}
             protected = set(forest.protected)
             try:
-                recs = connect_one(g, gprime, forest, [local[v] for v in reps[i]],
-                                   i, params, seed)
+                recs = connect_one(forest, [local[v] for v in reps[i]], i,
+                                   params, seed)
             except (NoCrossEdge, EmbeddingFailed, BudgetExceeded):
                 forest.adj, forest.protected = adj, protected
                 failed_sets.append(i)
@@ -309,7 +311,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
         raise BudgetExceeded(
             f"total path vertices {total_internal} exceed s/2 = {params.s / 2}")
 
-    packing = CdsPacking(
+    return _verified(g, CdsPacking(
         params=params, sets=sets_out, certificates=certs, paths=paths_out,
         meta={
             "family_indices": connected_sets,
@@ -317,10 +319,13 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
             "total_internal": total_internal,
             "expansion_certified": certified,
         },
-    )
-    report = verify_packing(g, packing)
-    if report.failures:
-        raise VerificationFailed(report)
+    ))
+
+
+def _verified(g: Graph, packing: CdsPacking) -> CdsPacking:
+    packing.verification = verify_packing(g, packing)
+    if packing.verification.failures:
+        raise VerificationFailed(packing.verification)
     return packing
 
 

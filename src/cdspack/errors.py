@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a report names one."""
+
+
+def error_body(phase: str, exc: Exception) -> dict:
+    """The "error" block of a report: the phase that failed and what it raised."""
+    return {"phase": phase, "type": type(exc).__name__, "message": str(exc)}
 
 
 class CdsPackError(Exception):

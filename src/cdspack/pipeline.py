@@ -2,20 +2,20 @@
 
 Loading the graph and measuring its spectrum depend only on the graph, so a
 caller does them once and calls `run` once per seed: params, coloring,
-connector, verifier. Each layer is called through its module, never through
-a name imported from it, so a tracer that wraps module attributes sees every
-call.
+connector, whose one verification `run` reports with the target applied.
+Each layer is called through its module, never through a name imported
+from it, so a tracer that wraps module attributes sees every call.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import coloring, connector, params, spectral, verifier
+from . import coloring, connector, params, spectral
 from .coloring import DominatingFamily
 from .connector import CdsPacking
-from .errors import CdsPackError, ResampleBudgetExhausted
+from .errors import CdsPackError, ResampleBudgetExhausted, error_body
 from .graph import Graph
 from .params import PackingParams
 from .spectral import SpectralProfile
@@ -44,7 +44,7 @@ class PackResult:
 def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
         mode: str = "practice", overrides: dict | None = None,
         max_sets: int | None = None, target: int | None = None) -> PackResult:
-    """Derive params, color, connect and verify one seed on `g`.
+    """Derive params, color and connect one seed on `g`, verified once.
 
     Coloring retries with the next seed up to COLORING_RESTARTS times when
     resampling runs out of budget. Sets that fail to connect are left out of
@@ -55,8 +55,7 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     timings = body["timings"]
 
     def fail(phase: str, exc: CdsPackError | ValueError) -> PackResult:
-        body["error"] = {"phase": phase, "type": type(exc).__name__,
-                         "message": str(exc)}
+        body["error"] = error_body(phase, exc)
         result.error = exc
         return result
 
@@ -102,11 +101,8 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     except CdsPackError as exc:
         return fail("connect", exc)
     result.packing = packing
+    result.verification = replace(packing.verification, target=target)
     body["packing"] = packing.to_json()
     body["connect"] = dict(packing.meta)
-
-    t0 = time.perf_counter()
-    result.verification = verifier.verify_packing(g, packing, target=target)
-    timings["verify"] = time.perf_counter() - t0
     body["verification"] = result.verification.to_json()
     return result

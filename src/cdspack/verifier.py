@@ -25,7 +25,13 @@ class VerificationReport:
     disjoint: bool
     failures: list[tuple[int, str, int | None]]  # (set index or -1, reason, witness)
     target: int | None = None
-    target_met: bool | None = None
+
+    @property
+    def target_met(self) -> bool | None:
+        """None without a target, else whether a clean packing reaches it."""
+        if self.target is None:
+            return None
+        return self.packing_size >= self.target and not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +136,6 @@ def verify_packing(g: Graph, packing, target: int | None = None) -> Verification
             if reason is not None:
                 failures.append((i, f"certificate invalid: {reason}", None))
 
-    met = None if target is None else len(sets) >= target and not failures
     return VerificationReport(
         packing_size=len(sets),
         dominating=dominating,
@@ -138,7 +143,6 @@ def verify_packing(g: Graph, packing, target: int | None = None) -> Verification
         disjoint=disjoint,
         failures=failures,
         target=target,
-        target_met=met,
     )
 
 

@@ -159,15 +159,47 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert calls["graph.load_graph"] == 1
     assert calls["spectral.extremal_eigenvalues"] == 1
     assert calls["params.derive_params"] == 2
-    assert calls["verifier.verify_packing"] == 4  # connector's and the report's
+    assert calls["verifier.verify_packing"] == 2  # the connector's, once per trial
     assert calls["cli.emit"] == 1
     assert calls["coloring.stage_one"] > 0
     assert calls["connector.connect_family"] > 0
     # components are counted once per set by build_family and once by
     # choose_representatives; the connector reuses the family's count, and
-    # each of the two verifications re-derives connectivity per packed set
+    # its one verification re-derives connectivity per packed set
     trials = json.loads(proc.stdout)["trials"]
     assert all("error" not in t and t["coloring_attempts"] == 1 for t in trials)
     assert calls["graph.components_of"] == sum(
-        2 * t["family"]["set_count"] + 2 * len(t["packing"]["sets"])
+        2 * t["family"]["set_count"] + len(t["packing"]["sets"])
         for t in trials)
+
+
+@pytest.mark.parametrize("argv, code, phase", [
+    (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
+    (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "spectral"),
+    (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
+    (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
+    (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
+    (["gen", "--kind", "petersen", "--out", "{tmp}/missing/x.txt"], "input",
+     "generate"),
+], ids=["pack-odd-degree-sum", "pack-tol-0", "pack-epsilon-1.5",
+        "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir"])
+def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):
+    graph = tmp_path / "p.txt"
+    main(["gen", "--kind", "petersen", "--out", str(graph)])
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path, graph=graph) for a in argv]
+    assert main(argv) == EXIT_CODES[code]
+    error = json.loads(capsys.readouterr().out)["error"]  # one report, nothing else
+    assert error["phase"] == phase
+    assert error["type"] and error["message"]
+
+
+def test_pack_with_no_sets_is_verified_and_misses_its_target(capsys):
+    code = main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
+                 "--seed", "1", "--max-sets", "0"])
+    assert code == EXIT_CODES["verification"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["packing_size"] == 0
+    assert report["verification"]["failures"] == []
+    assert report["verification"]["target_met"] is False
+    assert "verify" not in report["timings"]

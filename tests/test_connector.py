@@ -154,9 +154,9 @@ def test_failed_set_gives_back_its_paths(monkeypatch):
     real = connector.connect_one
     seen = []
 
-    def spy(g, gprime, forest, *args):
+    def spy(forest, *args):
         try:
-            return real(g, gprime, forest, *args)
+            return real(forest, *args)
         finally:
             seen.append((forest, {forest.to_global[v] for v in forest.adj}))
 
