@@ -18,8 +18,8 @@ from . import connector, generators, pipeline, spectral, verifier
 from .errors import (BudgetExceeded, CdsPackError, EigenConvergenceError,
                      EmbeddingFailed, GenerationError, GraphFormatError,
                      InfeasibleParameters, NoCrossEdge, NonRegularGraph,
-                     PostconditionViolation, ResampleBudgetExhausted,
-                     VerificationFailed, error_body)
+                     PackingFormatError, PostconditionViolation,
+                     ResampleBudgetExhausted, VerificationFailed, error_body)
 from .graph import load_graph, save_graph
 
 EXIT_CODES = {
@@ -36,8 +36,8 @@ EXIT_CODES = {
 }
 
 _ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
-    (GraphFormatError, GenerationError, OSError, json.JSONDecodeError,
-     KeyError): "input",  # KeyError: a packing file that lacks a key
+    (GraphFormatError, PackingFormatError, GenerationError, OSError,
+     json.JSONDecodeError): "input",
     InfeasibleParameters: "infeasible",
     ResampleBudgetExhausted: "resample",
     PostconditionViolation: "postcondition",
@@ -47,7 +47,7 @@ _ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
     ValueError: "usage",  # an invalid numeric argument
 }
 # the failures reported by a phase that command-line arguments feed
-_CAUGHT = (CdsPackError, OSError, KeyError, ValueError)
+_CAUGHT = (CdsPackError, OSError, ValueError)
 
 
 def _code_for(exc: Exception) -> int:
@@ -57,12 +57,36 @@ def _code_for(exc: Exception) -> int:
     return EXIT_CODES["error"]
 
 
-def _emit(report: dict, path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if path:
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _write(path: str, text: str, report: dict) -> bool:
+    """Write `text` to `path`; a failure is recorded in `report`, phase emit."""
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        report["error"] = error_body("emit", exc)
+        return False
+    return True
+
+
+def _emit(report: dict, path: str | None, code: int,
+          packing_path: str | None = None, packing: dict | None = None) -> int:
+    """Write the packing and the report files, print the report, return the code.
+
+    A file that cannot be written makes the run an input error; the report,
+    with that failure under "error", still goes to stdout.
+    """
+    ok = True
+    if packing_path and packing is not None:
+        ok = _write(packing_path, _dumps(packing), report)
+    text = _dumps(report)
+    if path and not _write(path, text + "\n", report):
+        ok, text = False, _dumps(report)
     print(text)
+    return code if ok else EXIT_CODES["input"]
 
 
 def _load_or_generate(args) -> tuple:
@@ -86,12 +110,10 @@ def run_gen(args) -> int:
         save_graph(g, args.out)
     except _CAUGHT as exc:
         report["error"] = error_body("generate", exc)
-        _emit(report, args.report)
-        return _code_for(exc)
+        return _emit(report, args.report, _code_for(exc))
     report["timings"]["generate"] = time.perf_counter() - t0
     report["graph"] = {"n": g.n, "m": g.m}
-    _emit(report, args.report)
-    return 0
+    return _emit(report, args.report, EXIT_CODES["ok"])
 
 
 def run_spectrum(args) -> int:
@@ -105,11 +127,9 @@ def run_spectrum(args) -> int:
         report["timings"]["spectral"] = time.perf_counter() - t0
     except _CAUGHT as exc:
         report["error"] = error_body(phase, exc)
-        _emit(report, args.report)
-        return _code_for(exc)
+        return _emit(report, args.report, _code_for(exc))
     report["spectral"] = profile.to_json()
-    _emit(report, args.report)
-    return 0
+    return _emit(report, args.report, EXIT_CODES["ok"])
 
 
 def run_pack(args) -> int:
@@ -131,6 +151,7 @@ def run_pack(args) -> int:
         error = error_body(phase, exc)
         bodies = [{"seed": s, "timings": {}, **shared, "error": error} for s in seeds]
         code = _code_for(exc)
+        packing = None
     else:
         overrides = {"m": args.override_m, "D": args.override_d}
         overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -141,9 +162,7 @@ def run_pack(args) -> int:
         # max keeps the first of equals, so ties go to the lowest seed
         best = max((r for r in results if r.packing is not None),
                    key=lambda r: len(r.packing.sets), default=None)
-        if args.packing_out and best is not None:
-            with open(args.packing_out, "w", encoding="utf-8") as fh:
-                json.dump(best.body["packing"], fh, sort_keys=True, indent=2)
+        packing = best.body["packing"] if best is not None else None
         bodies = [{**shared, **r.body} for r in results]
         code = max(_trial_code(r) for r in results)
 
@@ -152,8 +171,7 @@ def run_pack(args) -> int:
         report.update(bodies[0], timings={**timings, **bodies[0]["timings"]})
     else:
         report.update(timings=timings, trials=bodies)
-    _emit(report, args.report)
-    return code
+    return _emit(report, args.report, code, args.packing_out, packing)
 
 
 def _trial_code(result: pipeline.PackResult) -> int:
@@ -187,14 +205,12 @@ def run_verify(args) -> int:
             packing = connector.CdsPacking.from_json(json.load(fh))
     except _CAUGHT as exc:
         report["error"] = error_body("load", exc)
-        _emit(report, args.report)
-        return _code_for(exc)
+        return _emit(report, args.report, _code_for(exc))
     t0 = time.perf_counter()
     vreport = verifier.verify_packing(g, packing, target=args.target)
     report["timings"]["verify"] = time.perf_counter() - t0
     report["verification"] = vreport.to_json()
-    _emit(report, args.report)
-    return _verdict(vreport)
+    return _emit(report, args.report, _verdict(vreport))
 
 
 def _positive_int(text: str) -> int:

@@ -66,11 +66,19 @@ class ColorAssignment:
 
 @dataclass
 class DominatingFamily:
-    """Reservoir plus d_star disjoint dominating sets with component counts."""
+    """Reservoir plus d_star disjoint dominating sets and their components.
+
+    `representatives[i]` holds the lowest vertex of each component of
+    `sets[i]`, in ascending order.
+    """
 
     reservoir: list[int]
     sets: list[list[int]]
-    component_counts: list[int]
+    representatives: list[list[int]]
+
+    @property
+    def component_counts(self) -> list[int]:
+        return [len(reps) for reps in self.representatives]
 
     def to_json(self) -> dict:
         return {
@@ -361,17 +369,17 @@ def build_family(g: Graph, stage2_out: ColorAssignment,
 
     # property: each class induces few components
     comp_bound = 20 * n / (params.epsilon ** 2 * params.d)
-    component_counts = []
+    representatives = []
     for i, members in enumerate(sets):
-        k = len(components_of(g, members))
-        if k > comp_bound:
+        reps = [comp[0] for comp in components_of(g, members)]
+        if len(reps) > comp_bound:
             raise PostconditionViolation(
                 "component-count", witness=i,
-                detail=f"set {i} has {k} components, bound {comp_bound:.3f}")
-        component_counts.append(k)
+                detail=f"set {i} has {len(reps)} components, bound {comp_bound:.3f}")
+        representatives.append(reps)
 
     return DominatingFamily(
         reservoir=reservoir.tolist(),
         sets=[s.tolist() for s in sets],
-        component_counts=component_counts,
+        representatives=representatives,
     )

@@ -23,10 +23,12 @@ import numpy as np
 
 from .coloring import DominatingFamily
 from .errors import (BudgetExceeded, CdsPackError, EmbeddingFailed, NoCrossEdge,
-                     VerificationFailed)
+                     PackingFormatError, VerificationFailed)
 from .extendable import (ExtendableForest, TreeSpec, add_edge, attach_tree,
                          balanced_depth, new_forest, rollback)
-from .graph import Graph, components_of, induced_subgraph
+# unused here, but perfbench/trace_pack.py wraps connector.components_of
+from .graph import components_of  # noqa: F401
+from .graph import Graph, concat_neighbors, induced_subgraph
 from .params import PackingParams
 from .rand import rng_for
 from .spectral import expansion_check
@@ -74,26 +76,51 @@ class CdsPacking:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CdsPacking":
-        paths = [
-            PathRecord(
-                endpoints=tuple(p["endpoints"]),
-                internal=list(p["internal"]),
-                set_index=int(p["set"]),
-                length=len(p["internal"]) + 1,
+    def from_json(cls, data) -> "CdsPacking":
+        """Read a packing document, or raise PackingFormatError on a wrong shape."""
+        if not isinstance(data, dict):
+            raise PackingFormatError("a packing must be a JSON object")
+        sets = [_ints(s, "a set") for s in _items(data.get("sets"), "sets")]
+        certs = [[tuple(_ints(e, "a certificate edge", 2))
+                  for e in _items(cert, "a certificate")]
+                 for cert in _items(data.get("certificates", []), "certificates")]
+        paths = []
+        for p in _items(data.get("paths", []), "paths"):
+            if not isinstance(p, dict):
+                raise PackingFormatError("each path must be a JSON object")
+            internal = _ints(p.get("internal"), "a path's internal vertices")
+            paths.append(PathRecord(
+                endpoints=tuple(_ints(p.get("endpoints"), "a path's endpoints", 2)),
+                internal=internal,
+                set_index=_ints([p.get("set")], "a path's set index")[0],
+                length=len(internal) + 1,
                 length_bound=float("nan"),
-            )
-            for p in data.get("paths", [])
-        ]
-        certs = [[tuple(e) for e in cert] for cert in data.get("certificates", [])]
-        return cls(params=data.get("params"), sets=[list(s) for s in data["sets"]],
-                   certificates=certs, paths=paths)
+            ))
+        return cls(params=data.get("params"), sets=sets, certificates=certs,
+                   paths=paths)
+
+
+def _items(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise PackingFormatError(f"{what} must be a JSON list")
+    return value
+
+
+def _ints(value, what: str, size: int | None = None) -> list[int]:
+    """`value` if it is a list of integers (of length `size`, when given)."""
+    if (not isinstance(value, list) or size not in (None, len(value))
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        count = "" if size is None else f"{size} "
+        raise PackingFormatError(f"{what} must be a list of {count}integers")
+    return list(value)
 
 
 def choose_representatives(g: Graph, family: DominatingFamily) -> list[list[int]]:
-    """Lowest-id vertex of each component of every set, in ascending order."""
-    return [[comp[0] for comp in components_of(g, members)]
-            for members in family.sets]
+    """Lowest-id vertex of each component of every set, in ascending order.
+
+    build_family found them when it counted each set's components.
+    """
+    return family.representatives
 
 
 class _StepFailed(Exception):
@@ -224,24 +251,34 @@ def connect_one(forest: ExtendableForest, x_local: list[int], set_index: int,
 
 
 def spanning_certificate(g: Graph, members: list[int]) -> list[tuple[int, int]]:
-    """BFS spanning-tree edges of g[members], from the lowest vertex."""
-    mset = set(members)
+    """BFS spanning-tree edges of g[members], from the lowest vertex.
+
+    One level at a time: each vertex is claimed by its first discoverer, in
+    frontier order and then in ascending neighbour order.
+    """
     if len(members) <= 1:
         return []
-    root = min(members)
-    seen = {root}
-    frontier = [root]
+    in_set = np.zeros(g.n, dtype=bool)
+    in_set[members] = True
+    frontier = np.array([min(members)], dtype=np.int64)
+    in_set[frontier] = False  # reached vertices leave the set
+    reached = 1
     edges: list[tuple[int, int]] = []
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u).tolist():
-                if w in mset and w not in seen:
-                    seen.add(w)
-                    edges.append((min(u, w), max(u, w)))
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != len(members):
+    while frontier.size:
+        found = concat_neighbors(g, frontier)
+        parent = np.repeat(frontier, g.degrees[frontier])
+        fresh = in_set[found]
+        found, parent = found[fresh], parent[fresh]
+        order = np.argsort(found, kind="stable")
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = found[order[1:]] != found[order[:-1]]
+        claim = np.sort(order[first])  # first discoveries, in scan order
+        frontier, parent = found[claim], parent[claim]
+        in_set[frontier] = False
+        reached += frontier.size
+        edges.extend(zip(np.minimum(parent, frontier).tolist(),
+                         np.maximum(parent, frontier).tolist()))
+    if reached != len(members):
         raise CdsPackError("certificate requested for a disconnected set")
     return edges
 

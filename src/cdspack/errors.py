@@ -14,6 +14,10 @@ class GraphFormatError(CdsPackError):
     """Edge-list input is malformed (bad header, loops, duplicates, bad ids)."""
 
 
+class PackingFormatError(CdsPackError):
+    """A packing document does not have the packing JSON shape."""
+
+
 class GenerationError(CdsPackError):
     """A graph generator exhausted its retry budget."""
 

@@ -8,6 +8,11 @@ function of its inputs.
 
 Vertex sets are plain sorted duplicate-free lists of ints. Any iterable of
 ints is accepted on input and normalized.
+
+Construction, set-level operations and the edge-list loader run as numpy
+array passes: the CSR comes from one sort of the directed edge keys, and
+`load_graph` tokenises the whole file at once, then finds the first bad line
+in file order with array masks.
 """
 
 from __future__ import annotations
@@ -44,18 +49,15 @@ class Graph:
                 raise GraphFormatError("edge endpoint out of range")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise GraphFormatError("self-loops are not allowed")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            keys = lo * n + hi
-            if np.unique(keys).size != keys.size:
-                raise GraphFormatError("duplicate edges are not allowed")
-        # symmetric CSR build; per-row neighbor lists end up sorted
-        src = np.concatenate([arr[:, 0], arr[:, 1]])
-        dst = np.concatenate([arr[:, 1], arr[:, 0]])
-        order = np.lexsort((dst, src))
-        self.indices = dst[order]
-        counts = np.bincount(src, minlength=n)
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        # symmetric CSR build: one sort of the keys row·n + neighbour orders
+        # rows and, within each row, its neighbours; a repeated edge, in
+        # either orientation, leaves two equal keys side by side
+        u, v = arr[:, 0], arr[:, 1]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        if not _trusted and np.any(keys[1:] == keys[:-1]):
+            raise GraphFormatError("duplicate edges are not allowed")
+        rows, self.indices = np.divmod(keys, max(n, 1))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         self._row_index = None
 
     # -- basic queries ---------------------------------------------------
@@ -116,8 +118,11 @@ def vertex_set(vertices: Iterable[int], n: int | None = None) -> list[int]:
 
 
 def _as_array(g: Graph, vs) -> np.ndarray:
-    arr = np.unique(np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs,
-                               dtype=np.int64))
+    arr = np.sort(np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs,
+                             dtype=np.int64))
+    keep = np.ones(arr.size, dtype=bool)
+    keep[1:] = arr[1:] != arr[:-1]
+    arr = arr[keep]
     if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
         raise ValueError("vertex id out of range")
     return arr
@@ -198,52 +203,97 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, list[int]]:
     s_arr = _as_array(g, s)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[s_arr] = np.arange(s_arr.size)
-    edges = []
-    for local_u, u in enumerate(s_arr.tolist()):
-        nbrs = g.neighbors(u)
-        locals_ = pos[nbrs]
-        for local_w in locals_[locals_ >= 0].tolist():
-            if local_u < local_w:
-                edges.append((local_u, local_w))
+    local_u = np.repeat(np.arange(s_arr.size), g.degrees[s_arr])
+    local_w = pos[concat_neighbors(g, s_arr)]
+    keep = local_w > local_u  # each edge once; -1 marks neighbours outside s
+    edges = np.column_stack([local_u[keep], local_w[keep]])
     return Graph(int(s_arr.size), edges, _trusted=True), s_arr.tolist()
 
 
 # -- edge-list text format ----------------------------------------------
 #
-# First line `n m`, then m lines `u v` with u < v, whitespace-separated,
-# LF-terminated. The loader rejects loops, duplicates and out-of-range ids.
+# First line `n m`, then m lines `u v` with 0 <= u < v < n, whitespace-
+# separated, LF- or CRLF-terminated; blank lines are skipped. A vertex id is
+# an optionally signed decimal of at most _MAX_DIGITS characters. The loader
+# rejects malformed lines, loops, reversed pairs, out-of-range ids, count
+# mismatches and duplicates, naming the first bad line in file order.
+
+_WORD = np.ones(256, dtype=bool)  # bytes that are not ASCII whitespace
+_WORD[list(b" \t\n\v\f\r")] = False
+_MAX_DIGITS = 18  # every such decimal fits in an int64
+
+
+def _int_tokens(body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Whitespace-separated tokens of `body`, parsed as integers in array passes.
+
+    Returns (starts, ends, values, valid): each token's byte span, its value,
+    and whether it is an integer at all (the value of one that is not means
+    nothing).
+    """
+    # a writable copy, padded so that reading _MAX_DIGITS bytes from any
+    # token start stays inside it
+    buf = np.concatenate([np.frombuffer(body, dtype=np.uint8),
+                          np.full(_MAX_DIGITS, ord(" "), dtype=np.uint8)])
+    word = np.concatenate(([False], _WORD[buf], [False]))
+    steps = np.diff(word.view(np.int8))
+    starts, ends = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+    lens = ends - starts
+    negative = buf[starts] == ord("-")
+    signed = (negative | (buf[starts] == ord("+"))) & (lens > 1)
+    buf[starts[signed]] = ord("0")  # a sign reads as a leading zero
+    valid = lens <= _MAX_DIGITS
+    values = np.zeros(starts.size, dtype=np.int64)
+    for j in range(min(int(lens.max(initial=0)), _MAX_DIGITS)):
+        digit = buf[starts + j] - np.uint8(ord("0"))  # wraps below "0"
+        inside = lens > j
+        take = inside & (digit <= 9)
+        valid &= take == inside
+        np.multiply(values, 10, out=values, where=take)
+        np.add(values, digit, out=values, where=take)
+    np.negative(values, out=values, where=negative)
+    return starts, ends, values, valid
+
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise GraphFormatError("expected header line 'n m'")
-        try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad header: {exc}") from None
-        edges = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'u v'")
-            u, v = int(parts[0]), int(parts[1])
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop {u}")
-            if u > v:
-                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: vertex id out of range")
-            edges.append((u, v))
-    if len(edges) != m:
-        raise GraphFormatError(f"header promises {m} edges, file has {len(edges)}")
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, _, body = data.partition(b"\n")
+    header = head.decode("utf-8", errors="replace").split()
+    if len(header) != 2:
+        raise GraphFormatError("expected header line 'n m'")
     try:
-        return Graph(n, edges)
-    except GraphFormatError as exc:
-        raise GraphFormatError(str(exc)) from None
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"bad header: {exc}") from None
+
+    starts, ends, values, valid = _int_tokens(body)
+    newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    line = np.searchsorted(newlines, starts)  # 0 is the file's line 2
+    per_line = np.bincount(line)
+    malformed = np.flatnonzero((per_line != 0) & (per_line != 2))
+    # the tokens before the first malformed line pair up as (u, v)
+    stop = int(np.searchsorted(line, malformed[0])) if malformed.size else starts.size
+    u, v = values[0:stop:2], values[1:stop:2]
+    ok_u, ok_v = valid[0:stop:2], valid[1:stop:2]
+    bad = ~(ok_u & ok_v) | (u >= v) | (u < 0) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not (ok_u[i] and ok_v[i]):
+            t = 2 * i + int(ok_u[i])
+            token = body[starts[t]:ends[t]].decode("utf-8", errors="replace")
+            reason = f"{token!r} is not an integer vertex id"
+        elif u[i] == v[i]:
+            reason = f"self-loop {u[i]}"
+        elif u[i] > v[i]:
+            reason = "endpoints must satisfy u < v"
+        else:
+            reason = "vertex id out of range"
+        raise GraphFormatError(f"line {line[2 * i] + 2}: {reason}")
+    if malformed.size:
+        raise GraphFormatError(f"line {malformed[0] + 2}: expected 'u v'")
+    if u.size != m:
+        raise GraphFormatError(f"header promises {m} edges, file has {u.size}")
+    return Graph(n, np.column_stack([u, v]))
 
 
 def save_graph(g: Graph, path) -> None:

@@ -330,7 +330,7 @@ def _crafted_multi_component_packing():
             edges.append((min(r, v), max(r, v)))
     g = cp.Graph(60, edges)
     fam = DominatingFamily(reservoir=groups[3], sets=[[0, 8, 16]],
-                           component_counts=[3])
+                           representatives=[[0, 8, 16]])
     pars = PackingParams(epsilon=0.4, d_star=1, r1=1, r2=1, p1=0.84, p2=1.0,
                          b_prob=0.16, m=1, D=8, s=55, mode="practice",
                          n=60, d=30, lambda_used=15.0)

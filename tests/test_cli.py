@@ -163,14 +163,13 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert calls["cli.emit"] == 1
     assert calls["coloring.stage_one"] > 0
     assert calls["connector.connect_family"] > 0
-    # components are counted once per set by build_family and once by
-    # choose_representatives; the connector reuses the family's count, and
-    # its one verification re-derives connectivity per packed set
+    # components are found once per set by build_family, whose lowest
+    # vertices the connector reuses as representatives, and its one
+    # verification re-derives connectivity per packed set
     trials = json.loads(proc.stdout)["trials"]
     assert all("error" not in t and t["coloring_attempts"] == 1 for t in trials)
     assert calls["graph.components_of"] == sum(
-        2 * t["family"]["set_count"] + len(t["packing"]["sets"])
-        for t in trials)
+        t["family"]["set_count"] + len(t["packing"]["sets"]) for t in trials)
 
 
 @pytest.mark.parametrize("argv, code, phase", [
@@ -181,12 +180,23 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
     (["gen", "--kind", "petersen", "--out", "{tmp}/missing/x.txt"], "input",
      "generate"),
+    (["spectrum", "--input", "{tmp}/word.txt"], "input", "load"),
+    (["pack", "--input", "{tmp}/word.txt"], "input", "generate"),
+    (["verify", "--input", "{graph}", "--packing", "{tmp}/list.json"], "input",
+     "load"),
+    (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
+     "input", "load"),
 ], ids=["pack-odd-degree-sum", "pack-tol-0", "pack-epsilon-1.5",
-        "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir"])
+        "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
+        "spectrum-word-token", "pack-word-token", "verify-packing-list",
+        "verify-packing-string-ids"])
 def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):
     graph = tmp_path / "p.txt"
     main(["gen", "--kind", "petersen", "--out", str(graph)])
     capsys.readouterr()
+    (tmp_path / "word.txt").write_text("3 1\n0 x\n")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "strings.json").write_text('{"sets": [["a"]]}')
     argv = [a.format(tmp=tmp_path, graph=graph) for a in argv]
     assert main(argv) == EXIT_CODES[code]
     error = json.loads(capsys.readouterr().out)["error"]  # one report, nothing else
@@ -203,3 +213,14 @@ def test_pack_with_no_sets_is_verified_and_misses_its_target(capsys):
     assert report["verification"]["failures"] == []
     assert report["verification"]["target_met"] is False
     assert "verify" not in report["timings"]
+
+
+@pytest.mark.parametrize("flag", ["--report", "--packing-out"])
+def test_unwritable_output_is_reported_as_an_input_error(tmp_path, capsys, flag):
+    code = main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
+                 "--seed", "1", flag, str(tmp_path / "missing" / "out.json")])
+    assert code == EXIT_CODES["input"]
+    report = json.loads(capsys.readouterr().out)  # printed all the same
+    assert report["error"]["phase"] == "emit"
+    assert report["error"]["type"] == "FileNotFoundError"
+    assert report["verification"]["failures"] == []

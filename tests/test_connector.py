@@ -63,18 +63,19 @@ def generated_family():
 
 def test_choose_representatives_components_and_padding():
     g, reservoir = two_cliques_with_reservoir()
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 10]],
-                           component_counts=[2])
-    assert choose_representatives(g, fam) == [[0, 10]]
-    # extra vertices of an already-seeded component are not padded in
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 2, 10, 11]],
-                           component_counts=[2])
-    assert choose_representatives(g, fam) == [[0, 10]]
+    # the lowest vertex of each component, found once by build_family; extra
+    # vertices of an already-seeded component are not padded in
+    for members in ([0, 1, 10], [0, 1, 2, 10, 11]):
+        fam = DominatingFamily(reservoir=reservoir, sets=[members],
+                               representatives=[lowest_per_component(g, members)])
+        assert fam.component_counts == [2]
+        assert choose_representatives(g, fam) == [[0, 10]]
 
 
 def test_padding_arithmetic_on_generated_instance():
     g, fam, _ = generated_family()
     reps = choose_representatives(g, fam)
+    assert reps is fam.representatives  # not a second components pass
     # one representative per component, not max(k, min(ceil(n/(2d)), |S|))
     for members, x, k in zip(fam.sets, reps, fam.component_counts):
         assert len(x) == k
@@ -95,7 +96,7 @@ def test_generated_instance_stitches_each_component_once():
 def test_one_path_per_missing_join_not_per_padded_representative():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 2, 10, 11]],
-                           component_counts=[2])
+                           representatives=[[0, 10]])
     packing = connect_family(g, fam, crafted_params(d=4), seed=1)
     assert len(packing.paths) == 1
     assert set(packing.paths[0].endpoints) == {0, 10}
@@ -104,7 +105,7 @@ def test_one_path_per_missing_join_not_per_padded_representative():
 def test_connect_two_components_single_path():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
-                           component_counts=[2])
+                           representatives=[[0, 10]])
     packing = connect_family(g, fam, crafted_params(), seed=7)
     assert len(packing.sets) == 1
     assert len(packing.paths) == 1
@@ -131,7 +132,7 @@ def test_connect_three_components_two_paths():
             edges.append((min(r, v), max(r, v)))
     g = Graph(40, edges)
     fam = DominatingFamily(reservoir=groups[3], sets=[[0, 6, 12]],
-                           component_counts=[3])
+                           representatives=[[0, 6, 12]])
     packing = connect_family(g, fam, crafted_params(), seed=3)
     assert len(packing.paths) == 2
     internals = [v for p in packing.paths for v in p.internal]
@@ -150,7 +151,7 @@ def test_failed_set_gives_back_its_paths(monkeypatch):
     g = Graph(60, edges)
     reservoir = groups[2] + groups[4]
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10, 40]],
-                           component_counts=[3])
+                           representatives=[[0, 10, 40]])
     real = connector.connect_one
     seen = []
 
@@ -175,7 +176,7 @@ def test_connected_set_yields_zero_paths():
     g, _ = two_cliques_with_reservoir()
     # vertex 20 is adjacent to everything, so {0, 20} is a connected CDS
     fam = DominatingFamily(reservoir=list(range(21, 40)), sets=[[0, 20]],
-                           component_counts=[1])
+                           representatives=[[0]])
     packing = connect_family(g, fam, crafted_params(), seed=1)
     assert packing.sets == [[0, 20]]
     assert packing.paths == []
@@ -184,7 +185,7 @@ def test_connected_set_yields_zero_paths():
 def test_max_sets_cap():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10], [1, 11]],
-                           component_counts=[2, 2])
+                           representatives=[[0, 10], [1, 11]])
     packing = connect_family(g, fam, crafted_params(d_star=2), seed=1, max_sets=1)
     assert len(packing.sets) == 1
     assert {p.set_index for p in packing.paths} == {0}
@@ -193,7 +194,7 @@ def test_max_sets_cap():
 def test_arity_guard():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
-                           component_counts=[2])
+                           representatives=[[0, 10]])
     with pytest.raises(CdsPackError, match="arity"):
         connect_family(g, fam, crafted_params(D=4), seed=1)
 

@@ -3,9 +3,102 @@ import pytest
 
 from cdspack import (Graph, components_of, complete_graph, cycle_graph,
                      edge_count_between, gamma_restricted, induced_subgraph,
-                     load_graph, save_graph, vertex_set)
-from cdspack.errors import GraphFormatError
+                     load_graph, random_regular, save_graph, vertex_set)
+from cdspack.connector import spanning_certificate
+from cdspack.errors import CdsPackError, GraphFormatError
 from cdspack.rand import rng_for
+
+
+# -- references: the per-line loader and the loop-based builders the array
+# code replaced, kept to check that it gives the same graphs and messages --
+
+def reference_csr(n, edges):
+    """(indptr, indices) by lexsort, after the unique-key duplicate check."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if np.unique(lo * n + hi).size != len(arr):
+        raise GraphFormatError("duplicate edges are not allowed")
+    src = np.concatenate([arr[:, 0], arr[:, 1]])
+    dst = np.concatenate([arr[:, 1], arr[:, 0]])
+    indices = dst[np.lexsort((dst, src))]
+    return np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))), indices
+
+
+def reference_load(path):
+    """Line by line; tokens are taken to be plain decimals."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise GraphFormatError("expected header line 'n m'")
+        try:
+            n, m = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"bad header: {exc}") from None
+        edges = []
+        for lineno, raw in enumerate(fh, start=2):
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'u v'")
+            for token in parts:
+                if not token.lstrip("+-").isdigit() or len(token) > 18:
+                    raise GraphFormatError(
+                        f"line {lineno}: {token!r} is not an integer vertex id")
+            u, v = int(parts[0]), int(parts[1])
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop {u}")
+            if u > v:
+                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: vertex id out of range")
+            edges.append((u, v))
+    if len(edges) != m:
+        raise GraphFormatError(f"header promises {m} edges, file has {len(edges)}")
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
+    return reference_csr(n, edges)
+
+
+def reference_induced_edges(g, s):
+    pos = {u: i for i, u in enumerate(s)}
+    return [[pos[u], pos[w]] for u in s for w in g.neighbors(u).tolist()
+            if w in pos and pos[u] < pos[w]]
+
+
+def reference_certificate(g, members):
+    """BFS from the lowest vertex, one neighbour at a time."""
+    mset = set(members)
+    if len(members) <= 1:
+        return []
+    root = min(members)
+    seen = {root}
+    frontier = [root]
+    edges = []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u).tolist():
+                if w in mset and w not in seen:
+                    seen.add(w)
+                    edges.append((min(u, w), max(u, w)))
+                    nxt.append(w)
+        frontier = nxt
+    if len(seen) != len(members):
+        raise CdsPackError("certificate requested for a disconnected set")
+    return edges
+
+
+def outcome(fn, *args):
+    """The CSR arrays fn builds, or the message of the GraphFormatError it raises."""
+    try:
+        result = fn(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+    if isinstance(result, Graph):
+        result = result.indptr, result.indices
+    return [a.tolist() for a in result]
 
 
 def test_construction_rejects_bad_edges():
@@ -114,19 +207,96 @@ def test_edge_list_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("body", [
-    "3\n0 1\n",                       # bad header
-    "3 1\n0 0\n",                     # loop
-    "3 1\n1 0\n",                     # order violation
-    "3 1\n0 7\n",                     # out of range
-    "3 2\n0 1\n0 1\n",                # duplicate
-    "3 2\n0 1\n",                     # count mismatch
-])
-def test_loader_rejections(tmp_path, body):
+REJECTIONS = [
+    ("3\n0 1\n", "expected header line 'n m'"),
+    ("3 x\n", "bad header: invalid literal for int() with base 10: 'x'"),
+    ("3 1\n0 0\n", "line 2: self-loop 0"),
+    ("3 1\n1 0\n", "line 2: endpoints must satisfy u < v"),
+    ("3 1\n0 7\n", "line 2: vertex id out of range"),
+    ("3 1\n-1 2\n", "line 2: vertex id out of range"),
+    ("3 2\n0 1\n0 1\n", "duplicate edges are not allowed"),
+    ("3 2\n0 1\n", "header promises 2 edges, file has 1"),
+    ("3 1\n0 x\n", "line 2: 'x' is not an integer vertex id"),
+    ("3 2\n0 1\n1.5 2\n", "line 3: '1.5' is not an integer vertex id"),
+    ("3 2\n0 1\n1 2 2\n", "line 3: expected 'u v'"),
+    ("3 2\n0 1\n\n2\n", "line 4: expected 'u v'"),
+    # the first bad line in file order wins, whatever its rule
+    ("3 3\n1 2\n2 1\n0 1 2\n", "line 3: endpoints must satisfy u < v"),
+    ("3 3\n1 2\n0 1 2\n2 1\n", "line 3: expected 'u v'"),
+    ("3 3\n1 2\n0 x\n0 1 2\n", "line 3: 'x' is not an integer vertex id"),
+    ("-1 0\n", "vertex count must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("body, message", REJECTIONS,
+                         ids=[body for body, _ in REJECTIONS])
+def test_loader_rejections(tmp_path, body, message):
     path = tmp_path / "bad.txt"
     path.write_text(body)
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError) as exc:
         load_graph(path)
+    assert str(exc.value) == message
+
+
+def _layouts():
+    """Edge-list bodies in the layouts the loader accepts, and rejections."""
+    g = random_regular(60, 4, 1)
+    lines = [f"{u} {v}" for u, v in g.edge_array().tolist()]
+    shuffled = [lines[i] for i in rng_for(3).permutation(len(lines))]
+    head = f"{g.n} {g.m}"
+    return {
+        "sorted": head + "\n" + "\n".join(lines) + "\n",
+        "shuffled": head + "\n" + "\n".join(shuffled) + "\n",
+        "crlf": head + "\r\n" + "\r\n".join(shuffled) + "\r\n",
+        "blank-lines": head + "\n\n" + "\n\n".join(shuffled) + "\n\n\n",
+        "trailing-space": head + " \n" + "".join(f" {x}\t \n" for x in shuffled),
+        "no-final-newline": head + "\n" + "\n".join(shuffled),
+        "signs": head + "\n" + "\n".join("+" + x.replace(" ", " +0") for x in shuffled),
+        "crlf-bad-line": head + "\r\n" + "\r\n".join(shuffled[:9] + ["7"]) + "\r\n",
+        **{f"rejection-{i}": body for i, (body, _) in enumerate(REJECTIONS)},
+    }
+
+
+@pytest.mark.parametrize("name", list(_layouts()))
+def test_loader_matches_reference(tmp_path, name):
+    path = tmp_path / "g.txt"
+    path.write_bytes(_layouts()[name].encode())
+    assert outcome(load_graph, path) == outcome(reference_load, path)
+    if not name.startswith("rejection") and name != "crlf-bad-line":
+        assert isinstance(outcome(load_graph, path), list)
+
+
+def test_csr_build_matches_lexsort_reference():
+    rng = rng_for(83)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        if trial % 3 == 0 and len(pairs):  # repeat an edge, reversed
+            pairs = np.vstack([pairs, pairs[-1, ::-1]])
+        assert outcome(Graph, n, pairs) == outcome(reference_csr, n, pairs)
+        keys = np.unique(np.sort(pairs, axis=1), axis=0)
+        assert outcome(Graph, n, keys, True) == outcome(reference_csr, n, keys)
+
+
+def test_induced_subgraph_and_certificate_match_reference_bfs():
+    g = random_regular(400, 8, 2)
+    rng = rng_for(89)
+    connected = 0
+    for size in rng.integers(0, 400, size=200).tolist():
+        s = sorted(set(rng.integers(0, 400, size=size).tolist()))
+        sub, mapping = induced_subgraph(g, s)
+        assert mapping == s
+        assert sub.edge_array().tolist() == reference_induced_edges(g, s)
+        try:
+            expected = reference_certificate(g, s)
+        except CdsPackError:
+            with pytest.raises(CdsPackError):
+                spanning_certificate(g, s)
+            continue
+        assert spanning_certificate(g, s) == expected  # same edges, same order
+        connected += 1
+    assert connected > 20
 
 
 def test_induced_subgraph():
