@@ -81,7 +81,8 @@ def _emit(report: dict, path: str | None, code: int,
     """
     ok = True
     if packing_path and packing is not None:
-        ok = _write(packing_path, _dumps(packing), report)
+        # no indent: json then encodes with its C encoder
+        ok = _write(packing_path, json.dumps(packing, sort_keys=True), report)
     text = _dumps(report)
     if path and not _write(path, text + "\n", report):
         ok, text = False, _dumps(report)
@@ -257,7 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override-m", type=int, dest="override_m")
     p.add_argument("--override-D", "--override-d", type=int, dest="override_d")
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--tol", type=float, default=1e-6)
+    # lambda is consumed as 1.05 * lambda (spectral.SAFETY_MARGIN); at 1e-3
+    # the Lanczos error stays far inside that margin (see spectral's docstring)
+    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--report")
     p.add_argument("--packing-out", dest="packing_out")
     p.set_defaults(run=run_pack)

@@ -6,6 +6,16 @@ Lanczos call (ARPACK) on the adjacency operator with the all-ones direction
 deflated (the all-ones vector is an eigenvector of every regular graph, with
 eigenvalue d). Estimates coming from the iterative path get a +5% safety
 margin before being consumed by parameter derivation.
+
+Parameters depend on lambda only through d / (1.05 lambda), so `pack` runs
+Lanczos to a relative tolerance of 1e-3: on random regular graphs with
+n <= 2000, d <= 64 and seeds 1-3 its estimate fell at most 4.5e-5
+(relative) below the dense lambda, far inside the margin. `spectrum` keeps
+1e-9. Every profile carries the true residual |A'x - theta x| of the unit
+Ritz vector x at each end (A' the deflated operator), so a report shows how
+well its lambda converged; the dense path reports 0. The residual does not
+bound the distance to the extreme eigenvalue: a Ritz pair that converged to
+an interior eigenvalue has a small residual too, so the margin stays.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ class SpectralProfile:
     ratio: float  # d / lam
     tol: float
     method: str   # "dense" | "iterative"
+    lambda2_residual: float   # |A'x - lambda2 x| of its unit Ritz vector
+    lambda_n_residual: float  # the same at lambda_n; both 0 on the dense path
 
     def to_json(self) -> dict:
         return {
@@ -42,6 +54,8 @@ class SpectralProfile:
             "lambda": self.lam,
             "ratio": self.ratio,
             "tol": self.tol,
+            "lambda2_residual": self.lambda2_residual,
+            "lambda_n_residual": self.lambda_n_residual,
         }
 
 
@@ -52,10 +66,12 @@ def _require_regular(g: Graph) -> int:
     return d
 
 
-def _profile(d: int, lambda2: float, lambda_n: float, tol: float, method: str) -> SpectralProfile:
+def _profile(d: int, lambda2: float, lambda_n: float, residual2: float,
+             residual_n: float, tol: float, method: str) -> SpectralProfile:
     lam = max(lambda2, abs(lambda_n))
     ratio = d / lam if lam > 0 else float("inf")
-    return SpectralProfile(float(lambda2), float(lambda_n), float(lam), ratio, tol, method)
+    return SpectralProfile(float(lambda2), float(lambda_n), float(lam), ratio, tol,
+                           method, float(residual2), float(residual_n))
 
 
 def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
@@ -68,9 +84,8 @@ def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
         raise ValueError("tol must be positive")
     if g.n <= DENSE_LIMIT:
         lambda2, lambda_n = _dense_extremal(g)
-        return _profile(d, lambda2, lambda_n, tol, "dense")
-    lambda2, lambda_n = _iterative_extremal(g, tol)
-    return _profile(d, lambda2, lambda_n, tol, "iterative")
+        return _profile(d, lambda2, lambda_n, 0.0, 0.0, tol, "dense")
+    return _profile(d, *_iterative_extremal(g, tol), tol, "iterative")
 
 
 def _dense_extremal(g: Graph) -> tuple[float, float]:
@@ -83,30 +98,34 @@ def _adjacency_csr(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
-def _iterative_extremal(g: Graph, tol: float) -> tuple[float, float]:
-    """Lanczos estimates of lambda_2 and lambda_n from one call at both ends.
+def _iterative_extremal(g: Graph, tol: float) -> tuple[float, float, float, float]:
+    """Lanczos estimates of lambda_2 and lambda_n from one call at both ends,
+    then the residuals |A'x - theta x| of their unit Ritz vectors.
 
     x -> A x - d*mean(x) moves the all-ones eigenvalue d to 0 and keeps the
     rest of the spectrum. trace A = 0 gives lambda_n < 0 once there is an
     edge, and interlacing on the zero 2x2 block of any non-adjacent pair
     gives lambda_2 >= 0: the two ends of the deflated spectrum are lambda_n
     and lambda_2. Only K_n (d = n - 1) has no such pair; its lambda_2 =
-    lambda_n = -1.
+    lambda_n = -1. It and the empty graph are answered in closed form, with
+    residual 0.
     """
     d = _require_regular(g)
     n = g.n
     if d == 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0
     if d == n - 1:
-        return -1.0, -1.0
+        return -1.0, -1.0, 0.0, 0.0
     a = _adjacency_csr(g)
     op = spla.LinearOperator((n, n), matvec=lambda x: a @ x - d * x.mean(), dtype=float)
     v0 = rng_for(_V0_TAG, n).standard_normal(n)
     try:
-        w = spla.eigsh(op, k=2, which="BE", tol=tol, v0=v0, return_eigenvectors=False)
+        w, x = spla.eigsh(op, k=2, which="BE", tol=tol, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise EigenConvergenceError(f"Lanczos did not converge: {exc}") from None
-    return float(w.max()), float(w.min())
+    hi, lo = int(np.argmax(w)), int(np.argmin(w))
+    residual = [np.linalg.norm(op.matvec(x[:, j]) - w[j] * x[:, j]) for j in (hi, lo)]
+    return float(w[hi]), float(w[lo]), float(residual[0]), float(residual[1])
 
 
 def lambda_with_margin(profile: SpectralProfile) -> float:

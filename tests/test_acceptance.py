@@ -117,7 +117,7 @@ def test_criterion_3_spectral():
             n += 1
         g = cp.random_regular(n, d, seed=int(rng.integers(0, 2**31)))
         l2_d, ln_d = _dense_extremal(g)
-        l2_i, ln_i = _iterative_extremal(g, tol)
+        l2_i, ln_i, _, _ = _iterative_extremal(g, tol)
         scale = max(1.0, abs(l2_d), abs(ln_d))
         assert abs(l2_i - l2_d) <= 10 * tol * scale
         assert abs(ln_i - ln_d) <= 10 * tol * scale

@@ -38,7 +38,8 @@ def test_spectrum_report_keys(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     prof = report["spectral"]
-    assert set(prof) == {"lambda2", "lambda_n", "lambda", "ratio", "tol"}
+    assert set(prof) == {"lambda2", "lambda_n", "lambda", "ratio", "tol",
+                         "lambda2_residual", "lambda_n_residual"}
     assert abs(prof["lambda"] - 2.0) < 1e-9
 
 

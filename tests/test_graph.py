@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,28 @@ def reference_induced_edges(g, s):
     pos = {u: i for i, u in enumerate(s)}
     return [[pos[u], pos[w]] for u in s for w in g.neighbors(u).tolist()
             if w in pos and pos[u] < pos[w]]
+
+
+def reference_components(g, s):
+    """Breadth-first search from each unseen vertex of s, in ascending order."""
+    in_s = set(s)
+    seen = set()
+    comps = []
+    for start in sorted(in_s):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u).tolist():
+                if w in in_s and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 def reference_certificate(g, members):
@@ -184,6 +208,15 @@ def test_components_partition_property():
             for w in g.neighbors(u).tolist():
                 if w in owner:
                     assert owner[w] == owner[u]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_components_match_reference_bfs(seed):
+    g = random_regular(400, 8, seed)
+    rng = rng_for(97, seed)
+    for size in rng.integers(0, 400, size=100).tolist():
+        s = rng.integers(0, 400, size=size).tolist()  # unsorted, with repeats
+        assert components_of(g, s) == reference_components(g, s)
 
 
 def test_vertex_set_normalizes():

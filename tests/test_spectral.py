@@ -7,6 +7,7 @@ import pytest
 from cdspack import (complete_graph, cycle_graph, expansion_check,
                      extremal_eigenvalues, lambda_with_margin, mixing_slack,
                      petersen_graph, random_regular)
+from cdspack.cli import _build_parser
 from cdspack.errors import NonRegularGraph
 from cdspack.graph import Graph
 from cdspack import spectral
@@ -50,7 +51,7 @@ def test_iterative_matches_dense_small():
     for seed, (n, d) in enumerate([(64, 8), (128, 10), (256, 12)]):
         g = random_regular(n, d, seed)
         l2_d, ln_d = _dense_extremal(g)
-        l2_i, ln_i = _iterative_extremal(g, tol)
+        l2_i, ln_i, _, _ = _iterative_extremal(g, tol)
         assert l2_i == pytest.approx(l2_d, abs=10 * tol + 1e-8)
         assert ln_i == pytest.approx(ln_d, abs=10 * tol + 1e-8)
 
@@ -68,11 +69,12 @@ def test_iterative_path_makes_one_lanczos_call(monkeypatch):
         ArpackNoConvergence=real.ArpackNoConvergence))
     tol = 1e-8
     g = random_regular(600, 8, 4)
-    l2_i, ln_i = _iterative_extremal(g, tol)
+    l2_i, ln_i, r2, rn = _iterative_extremal(g, tol)
     assert len(calls) == 1
     l2_d, ln_d = _dense_extremal(g)
     assert l2_i == pytest.approx(l2_d, abs=10 * tol * 8)
     assert ln_i == pytest.approx(ln_d, abs=10 * tol * 8)
+    assert 0 <= r2 < 1e-5 and 0 <= rn < 1e-5  # converged pairs, tiny residuals
 
 
 def two_copies(g):
@@ -100,10 +102,28 @@ def test_iterative_path_known_spectra(g, lambda2, lambda_n):
 def test_margin_applies_to_iterative_only():
     dense = extremal_eigenvalues(petersen_graph())
     assert lambda_with_margin(dense) == dense.lam
+    assert dense.lambda2_residual == dense.lambda_n_residual == 0.0
     g = random_regular(600, 8, 4)
     it = extremal_eigenvalues(g, tol=1e-8)
     assert it.method == "iterative"
     assert lambda_with_margin(it) == pytest.approx(1.05 * it.lam)
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+@pytest.mark.parametrize("d", [4, 16, 64])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_default_pack_tol_stays_inside_margin(n, d, seed):
+    """At pack's default tolerance the margin still covers the Lanczos error."""
+    tol = _build_parser().parse_args(["pack"]).tol
+    g = random_regular(n, d, seed)
+    prof = extremal_eigenvalues(g, tol=tol)
+    assert prof.method == "iterative"
+    lambda2, lambda_n = _dense_extremal(g)  # np.linalg.eigvalsh
+    lam = max(lambda2, -lambda_n)
+    assert lambda_with_margin(prof) >= lam
+    assert abs(prof.lam - lam) <= 1e-3 * lam
+    blob = prof.to_json()
+    assert blob["lambda2_residual"] >= 0 and blob["lambda_n_residual"] >= 0
 
 
 def test_mixing_slack_examples():
