@@ -12,19 +12,17 @@ ints is accepted on input and normalized.
 Construction, set-level operations and the edge-list loader run as numpy
 array passes: the CSR comes from one sort of the directed edge keys, and
 `load_graph` tokenises the whole file at once, then finds the first bad line
-in file order with array masks. Connected components of a large set are
-labelled by scipy's `connected_components` on the induced CSR; a small set
-is searched in Python, which is faster there.
+in file order with array masks. `components_of` is the exception, a search
+over Python sets: an array labelling is faster on sets of thousands of
+vertices but costs about 0.1 ms per call, which callers that test many tiny
+sets, such as exhaustive checks of small graphs, cannot afford.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphFormatError
 
@@ -36,7 +34,7 @@ class Graph:
     Regularity is a queryable property, not an invariant.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_row_index")
+    __slots__ = ("n", "indptr", "indices", "degrees", "_row_index")
 
     def __init__(self, n: int, edges, _trusted: bool = False):
         if n < 0:
@@ -62,24 +60,14 @@ class Graph:
             raise GraphFormatError("duplicate edges are not allowed")
         rows, self.indices = np.divmod(keys, max(n, 1))
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.degrees = np.diff(self.indptr)
         self._row_index = None
-
-    @classmethod
-    def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """Wrap a symmetric CSR with sorted rows, as the constructor builds it."""
-        g = cls.__new__(cls)
-        g.n, g.indptr, g.indices, g._row_index = n, indptr, indices, None
-        return g
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def m(self) -> int:
         return self.indices.size // 2
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     @property
     def row_index(self) -> np.ndarray:
@@ -180,71 +168,27 @@ def gamma_restricted(g: Graph, a, b) -> list[int]:
     return b_arr[touched[b_arr]].tolist()
 
 
-def _induced_csr(g: Graph, s_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of g[s_arr] in local ids, the positions in s_arr.
-
-    s_arr is sorted, so local ids keep the order of global ones and every
-    row stays sorted without a sort.
-    """
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[s_arr] = np.arange(s_arr.size)
-    local_u = np.repeat(np.arange(s_arr.size), g.degrees[s_arr])
-    local_w = pos[concat_neighbors(g, s_arr)]
-    keep = local_w >= 0  # -1 marks neighbours outside s
-    counts = np.bincount(local_u[keep], minlength=s_arr.size)
-    return np.concatenate(([0], np.cumsum(counts))), local_w[keep]
-
-
-# below this many adjacency slots of s, a Python search beats the fixed cost
-# (about 0.2 ms) of the scipy pass; above it the scipy pass wins, by about 4x
-# at 16k slots
-_SEARCH_SLOTS = 1024
-
-
 def components_of(g: Graph, s) -> list[list[int]]:
     """Connected components of the induced subgraph g[s].
 
     Each component is sorted; components are ordered by smallest member.
+    Breadth-first search from each unreached vertex in turn; a vertex's
+    unreached neighbours come from one intersection with the set of
+    unreached vertices.
     """
-    s_arr = _as_array(g, s)
-    if s_arr.size == 0:
-        return []
-    if int((g.indptr[s_arr + 1] - g.indptr[s_arr]).sum()) < _SEARCH_SLOTS:
-        return _components_by_search(g, s_arr)
-    indptr, indices = _induced_csr(g, s_arr)
-    adj = sp.csr_matrix((np.ones(indices.size), indices, indptr),
-                        shape=(s_arr.size, s_arr.size))
-    # g[s] is symmetric, so its strong components are its connected ones;
-    # asking for those spares scipy the transpose an undirected search builds
-    _, labels = connected_components(adj, directed=True, connection="strong")
-    # a stable sort groups the vertices by label, each group in ascending
-    # order, so its first member is its smallest
-    members = s_arr[np.argsort(labels, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    comps = [members[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    comps.sort(key=lambda comp: comp[0])
-    return comps
-
-
-def _components_by_search(g: Graph, s_arr: np.ndarray) -> list[list[int]]:
-    """components_of by breadth-first search from each unseen vertex in turn."""
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[s_arr] = True
-    seen = np.zeros(g.n, dtype=bool)
+    members = vertex_set(s, g.n)
+    unreached = set(members)
     comps: list[list[int]] = []
-    for start in s_arr.tolist():
-        if seen[start]:
+    for start in members:
+        if start not in unreached:
             continue
-        seen[start] = True
+        unreached.discard(start)
         comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u).tolist():
-                if in_s[w] and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
+        for u in comp:  # comp grows behind the loop: a BFS queue
+            found = unreached.intersection(g.neighbors(u).tolist())
+            if found:
+                unreached -= found
+                comp.extend(found)
         comps.append(sorted(comp))
     return comps
 
@@ -252,8 +196,13 @@ def _components_by_search(g: Graph, s_arr: np.ndarray) -> list[list[int]]:
 def induced_subgraph(g: Graph, s) -> tuple[Graph, list[int]]:
     """Induced subgraph on s with local ids, plus the local->global mapping."""
     s_arr = _as_array(g, s)
-    indptr, indices = _induced_csr(g, s_arr)
-    return Graph._from_csr(int(s_arr.size), indptr, indices), s_arr.tolist()
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[s_arr] = np.arange(s_arr.size)
+    local_u = np.repeat(np.arange(s_arr.size), g.degrees[s_arr])
+    local_w = pos[concat_neighbors(g, s_arr)]
+    keep = local_w > local_u  # each edge once; -1 marks neighbours outside s
+    edges = np.column_stack([local_u[keep], local_w[keep]])
+    return Graph(int(s_arr.size), edges, _trusted=True), s_arr.tolist()
 
 
 # -- edge-list text format ----------------------------------------------

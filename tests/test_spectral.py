@@ -126,6 +126,17 @@ def test_default_pack_tol_stays_inside_margin(n, d, seed):
     assert blob["lambda2_residual"] >= 0 and blob["lambda_n_residual"] >= 0
 
 
+@pytest.mark.parametrize("d", [4, 16, 64])
+def test_default_pack_tol_holds_at_larger_n(d):
+    """Past the dense sizes, check the default against a tol 1e-10 run."""
+    tol = _build_parser().parse_args(["pack"]).tol
+    g = random_regular(5000, d, 1)
+    lam = extremal_eigenvalues(g, tol=1e-10).lam
+    prof = extremal_eigenvalues(g, tol=tol)
+    assert lambda_with_margin(prof) >= lam
+    assert abs(prof.lam - lam) <= 1e-3 * lam
+
+
 def test_mixing_slack_examples():
     k4 = complete_graph(4)
     assert mixing_slack(k4, 1.0, [0, 1], [2, 3]) == pytest.approx(1.0)
