@@ -58,7 +58,8 @@ def _code_for(exc: Exception) -> int:
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    # no indent: json then encodes with its C encoder
+    return json.dumps(doc, sort_keys=True)
 
 
 def _write(path: str, text: str, report: dict) -> bool:
@@ -81,8 +82,7 @@ def _emit(report: dict, path: str | None, code: int,
     """
     ok = True
     if packing_path and packing is not None:
-        # no indent: json then encodes with its C encoder
-        ok = _write(packing_path, json.dumps(packing, sort_keys=True), report)
+        ok = _write(packing_path, _dumps(packing), report)
     text = _dumps(report)
     if path and not _write(path, text + "\n", report):
         ok, text = False, _dumps(report)
@@ -214,11 +214,15 @@ def run_verify(args) -> int:
     return _emit(report, args.report, _verdict(vreport))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,11 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--mode", choices=["theory", "practice"], default="practice")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", type=int, default=1)
-    p.add_argument("--max-sets", type=int, dest="max_sets")
+    p.add_argument("--target", type=_int_at_least(0), default=1)
+    p.add_argument("--max-sets", type=_int_at_least(0), dest="max_sets")
     p.add_argument("--override-m", type=int, dest="override_m")
     p.add_argument("--override-D", "--override-d", type=int, dest="override_d")
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--trials", type=_int_at_least(1), default=1)
     # lambda is consumed as 1.05 * lambda (spectral.SAFETY_MARGIN); at 1e-3
     # the Lanczos error stays far inside that margin (see spectral's docstring)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -268,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a packing JSON against a graph")
     v.add_argument("--input", required=True)
     v.add_argument("--packing", required=True)
-    v.add_argument("--target", type=int)
+    v.add_argument("--target", type=_int_at_least(0))
     v.add_argument("--report")
     v.set_defaults(run=run_verify)
     return parser

@@ -6,10 +6,13 @@ possible through floating-point edge cases, since b_prob + r1*p1 = 1). Stage
 two refines each colored vertex with a uniform second-stage color in [r2].
 Both stages run a Moser-Tardos style loop: while some neighborhood count
 violates its threshold, re-randomize the labels the violated event depends
-on, always picking the lexicographically lowest violated event. Violations
-are tracked incrementally: after a resample only the count entries it
-changed are re-tested, and the next event is still the lowest violated one,
-exactly as a full rescan of the count matrix would pick it.
+on, always picking the lexicographically lowest violated event. A resample
+draws new labels for every vertex the event depends on, but moves counts
+only for the vertices whose label changed: for the others the decrement and
+increment would cancel. Violations are tracked incrementally: only the
+count entries of the changed vertices' neighbors are re-tested, and the next
+event is still the lowest violated one, exactly as a full rescan of the
+count matrix would pick it.
 
 Thresholds by mode:
   theory   - stage one requires every count inside [(1-eps/2)E, (1+eps/2)E]
@@ -88,25 +91,36 @@ class DominatingFamily:
         }
 
 
-def _draw_stage1(rng: np.random.Generator, size: int, b_prob: float,
-                 p1: float, r1: int) -> np.ndarray:
+def _draw_columns(rng: np.random.Generator, size: int, b_prob: float,
+                  p1: float, r1: int) -> np.ndarray:
+    """Draw `size` stage-one labels as count-matrix columns.
+
+    One uniform u per vertex: u < b_prob is the reservoir (column r1), else
+    color floor((u - b_prob) / p1) when below r1, else uncolored (-1).
+    """
     u = rng.random(size)
-    out = np.full(size, UNCOLORED, dtype=np.int32)
-    out[u < b_prob] = RESERVOIR
-    rest = u >= b_prob
+    cols = np.full(size, -1, dtype=np.int64)
     if p1 > 0:
-        c = np.floor((u[rest] - b_prob) / p1).astype(np.int64)
-        ok = c < r1
-        out[np.flatnonzero(rest)[ok]] = c[ok].astype(np.int32)
-    return out
+        c = np.floor((u - b_prob) / p1)
+        np.copyto(cols, c, casting="unsafe", where=c < r1)
+    cols[u < b_prob] = r1
+    return cols
 
 
 def _column_labels(c1: np.ndarray, r1: int) -> np.ndarray:
     """Map stage-one labels to count-matrix columns: colors 0..r1-1, reservoir r1."""
-    lab = c1.astype(np.int64).copy()
+    lab = c1.astype(np.int64)
     lab[c1 == RESERVOIR] = r1
     lab[c1 == UNCOLORED] = -1
     return lab
+
+
+def _stage_one_labels(cols: np.ndarray, r1: int) -> np.ndarray:
+    """Inverse of `_column_labels`: count-matrix columns back to stage-one labels."""
+    c1 = cols.astype(np.int32)
+    c1[cols == r1] = RESERVOIR
+    c1[cols < 0] = UNCOLORED
+    return c1
 
 
 def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
@@ -117,26 +131,32 @@ def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
     return np.bincount(flat, minlength=g.n * ncols).reshape(g.n, ncols)
 
 
-def _shift_counts(g: Graph, counts: np.ndarray, verts: np.ndarray,
-                  old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Apply a relabeling of `verts` to the neighbor-count matrix in place.
+def _relabel(g: Graph, counts: np.ndarray, labels: np.ndarray,
+             verts: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Give `verts` the count-matrix columns `new`, in `labels` and in `counts`.
 
-    Returns the flat indices (row * ncols + col) of the entries it changed,
-    with repeats.
+    Only the vertices whose column changes move counts. Returns the flat
+    indices (row * ncols + col) of the count entries it changed, with
+    repeats: one gather of the changed vertices' neighbor slots, one
+    decrement at their old columns, one increment at their new ones. Column
+    -1 (uncolored) is not counted.
     """
+    old = labels[verts]
+    moved = old != new
+    if not moved.any():
+        return np.empty(0, dtype=np.int64)
+    verts, old, new = verts[moved], old[moved], new[moved]
+    labels[verts] = new
     degs = g.degrees[verts]
-    nbrs = concat_neighbors(g, verts)
-    rep_old = np.repeat(old, degs)
-    rep_new = np.repeat(new, degs)
-    dec = rep_old >= 0
-    if dec.any():
-        np.subtract.at(counts, (nbrs[dec], rep_old[dec]), 1)
-    inc = rep_new >= 0
-    if inc.any():
-        np.add.at(counts, (nbrs[inc], rep_new[inc]), 1)
-    ncols = counts.shape[1]
-    return np.concatenate((nbrs[dec] * ncols + rep_old[dec],
-                           nbrs[inc] * ncols + rep_new[inc]))
+    slots = concat_neighbors(g, verts) * counts.shape[1]
+    dec = slots + old.repeat(degs)
+    inc = slots + new.repeat(degs)
+    if min(old.min(), new.min()) < 0:
+        dec, inc = dec[(old >= 0).repeat(degs)], inc[(new >= 0).repeat(degs)]
+    flat = counts.reshape(-1)  # a view: counts is C-contiguous
+    np.subtract.at(flat, dec, 1)
+    np.add.at(flat, inc, 1)
+    return np.concatenate((dec, inc))
 
 
 class _BadEvents:
@@ -165,8 +185,12 @@ class _BadEvents:
 
     def update(self, touched: np.ndarray) -> None:
         """Re-test the entries at `touched` after their counts changed."""
+        if touched.size == 0:
+            return
         now = self._test(self._flat[touched], touched)
-        for idx in np.unique(touched[now & ~self._flags[touched]]).tolist():
+        # an index repeated in `touched` may be pushed twice; `lowest` skips
+        # the copy left behind once it is cleared
+        for idx in touched[now & ~self._flags[touched]].tolist():
             heapq.heappush(self._heap, idx)
         self._flags[touched] = now
 
@@ -205,11 +229,12 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
     n = g.n
     r1 = params.r1
     rng = rng_for(seed, _STAGE1_TAG)
-    c1 = _draw_stage1(rng, n, params.b_prob, params.p1, r1)
+    b_prob, p1 = params.b_prob, params.p1
+    cols = _draw_columns(rng, n, b_prob, p1, r1)
     lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (r1 + 1,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (r1 + 1,))
-    counts = _neighbor_counts(g, _column_labels(c1, r1), r1 + 1)
+    counts = _neighbor_counts(g, cols, r1 + 1)
 
     def out_of_bounds(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
         col = flat % (r1 + 1)
@@ -224,12 +249,11 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
         if resamples > cap:
             raise ResampleBudgetExhausted(
                 f"stage one: {events.count()} bad events after {cap} resamples")
-        w = g.neighbors(v).astype(np.int64)
-        old_cols = _column_labels(c1[w], r1)
-        c1[w] = _draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
-        events.update(_shift_counts(g, counts, w, old_cols,
-                                    _column_labels(c1[w], r1)))
-    return ColorAssignment(c1=c1, c2=None, r1=r1, r2=params.r2, resamples=resamples)
+        w = g.neighbors(v)
+        events.update(_relabel(g, counts, cols, w,
+                               _draw_columns(rng, w.size, b_prob, p1, r1)))
+    return ColorAssignment(c1=_stage_one_labels(cols, r1), c2=None, r1=r1,
+                           r2=params.r2, resamples=resamples)
 
 
 def stage_two_thresholds(params: PackingParams) -> tuple[float, float]:
@@ -280,10 +304,9 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
                 f"stage two: event (v={v}, class={cls}) has no {c}-colored "
                 f"neighbors to resample")
         if params.mode == "theory":
-            old = labels[members].copy()
             c2[members] = rng.integers(0, r2, size=members.size).astype(np.int32)
-            labels[members] = c1[members].astype(np.int64) * r2 + c2[members]
-            events.update(_shift_counts(g, counts, members, old, labels[members]))
+            events.update(_relabel(g, counts, labels, members,
+                                   c * r2 + c2[members].astype(np.int64)))
         else:
             events.update(_repair_event(g, counts, labels, c2, members, c, cls,
                                         r2, int(counts[v, cls]) >= hi, lo, v))
@@ -299,7 +322,7 @@ def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
     The flipped vertex is the candidate whose relabeling drops the fewest
     neighborhood counts to the lower threshold (ties to lowest id), so
     repairs rarely spawn new violations. Returns the flat indices of the
-    count entries the flip changed, as `_shift_counts` does.
+    count entries the flip changed, as `_relabel` does.
     """
     if overfull:
         cand = members[c2[members] == cls % r2]
@@ -319,11 +342,9 @@ def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
             best_w, best_score = w, created
             if created == 0:
                 break
-    old = labels[[best_w]].copy()
     c2[best_w] = target
-    labels[best_w] = c * r2 + target
-    return _shift_counts(g, counts, np.asarray([best_w], dtype=np.int64), old,
-                         labels[[best_w]])
+    return _relabel(g, counts, labels, np.asarray([best_w], dtype=np.int64),
+                    np.asarray([c * r2 + target], dtype=np.int64))
 
 
 def build_family(g: Graph, stage2_out: ColorAssignment,

@@ -133,12 +133,9 @@ def concat_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
     if verts.size == 0:
         return np.empty(0, dtype=g.indices.dtype)
     lens = g.degrees[verts]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=g.indices.dtype)
-    starts = g.indptr[verts]
-    shifts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    gather = np.arange(total, dtype=np.int64) + np.repeat(starts - shifts, lens)
+    ends = lens.cumsum()
+    # slot k of vertex v's run reads indices[indptr[v] + k]
+    gather = np.arange(ends[-1]) + (g.indptr[verts] - (ends - lens)).repeat(lens)
     return g.indices[gather]
 
 

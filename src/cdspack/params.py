@@ -7,7 +7,8 @@ picks a desk-scale color-grid split, honors explicit m/D overrides, replaces
 a derived D < 6 by 8 and a derived m that leaves s <= n/2 by 2 (each with a
 warning naming the derived value), and downgrades feasibility failures to
 warnings (except s <= 0, which always errors because the forest budget
-would be empty).
+would be empty). An override of m below 1 or of D below 3 is a ValueError
+in either mode: no forest can be built from it.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     overrides = dict(overrides or {})
+    # extendable.new_forest needs m >= 1 and D >= 3, in either mode
+    for key, least in (("m", 1), ("D", 3)):
+        if key in overrides and int(overrides[key]) < least:
+            raise ValueError(f"override {key} = {overrides[key]} < {least}")
     warnings: list[str] = []
 
     lg = log(d)

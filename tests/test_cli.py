@@ -142,6 +142,31 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["pack", "--n", "400", "--d", "12", "--max-sets", "-1"], "--max-sets"),
+    (["pack", "--n", "400", "--d", "12", "--target", "-2"], "--target"),
+    (["verify", "--input", "g.txt", "--packing", "p.json", "--target", "-1"],
+     "--target"),
+], ids=["pack-max-sets", "pack-target", "verify-target"])
+def test_negative_counts_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CODES["usage"]
+    assert f"argument {flag}: must be at least 0" in capsys.readouterr().err
+
+
+def test_report_is_one_line_of_json(tmp_path, capsys):
+    gpath = tmp_path / "p.txt"
+    rep_path = tmp_path / "rep.json"
+    main(["gen", "--kind", "petersen", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main(["spectrum", "--input", str(gpath), "--report", str(rep_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")  # no indentation
+    assert rep_path.read_text() == out
+    assert json.loads(out)["spectral"]["lambda"] == pytest.approx(2.0)
+
+
 def test_tracing_sees_every_layer_once_per_use(tmp_path):
     """The benchmark's tracer wraps module attributes; each layer must be
     called through them, and load and spectrum must run once per invocation."""
@@ -177,6 +202,8 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
     (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "spectral"),
     (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
+    (["pack", "--n", "600", "--d", "16", "--override-m", "-1"], "usage", "params"),
+    (["pack", "--n", "600", "--d", "16", "--override-D", "2"], "usage", "params"),
     (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
     (["gen", "--kind", "petersen", "--out", "{tmp}/missing/x.txt"], "input",
@@ -188,6 +215,7 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
 ], ids=["pack-odd-degree-sum", "pack-tol-0", "pack-epsilon-1.5",
+        "pack-override-m-negative", "pack-override-D-2",
         "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
         "verify-packing-string-ids"])

@@ -1,16 +1,16 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cdspack import (build_family, derive_params, random_regular, stage_one,
-                     stage_two)
+from cdspack import (binomial_random, build_family, derive_params,
+                     random_regular, stage_one, stage_two)
 from cdspack.coloring import (_STAGE1_TAG, _STAGE2_TAG, RESAMPLE_FACTOR,
                               RESERVOIR, UNCOLORED, ColorAssignment,
-                              _column_labels, _draw_stage1, _neighbor_counts,
-                              _repair_event, _shift_counts,
-                              stage_one_thresholds, stage_two_thresholds)
+                              _neighbor_counts, stage_one_thresholds,
+                              stage_two_thresholds)
 from cdspack.errors import PostconditionViolation, ResampleBudgetExhausted
 from cdspack.params import PackingParams
 from cdspack.rand import rng_for
@@ -30,16 +30,75 @@ def theory_params(n, d):
 
 # Reference loops: stage one and stage two as they were before violations were
 # tracked incrementally, rescanning the whole count matrix after every
-# resample. The incremental loops must pick the same events in the same order.
+# resample, and before a resample moved only the counts of the labels it
+# changed. They use their own copies of the label draw, the label-to-column
+# map and the count shift (which moves every resampled vertex, changed or
+# not), so the module's loops are checked against independent code: they
+# must pick the same events in the same order and end with the same labels.
+
+def draw_stage1(rng, size, b_prob, p1, r1):
+    u = rng.random(size)
+    out = np.full(size, UNCOLORED, dtype=np.int32)
+    out[u < b_prob] = RESERVOIR
+    rest = u >= b_prob
+    if p1 > 0:
+        c = np.floor((u[rest] - b_prob) / p1).astype(np.int64)
+        ok = c < r1
+        out[np.flatnonzero(rest)[ok]] = c[ok].astype(np.int32)
+    return out
+
+
+def column_labels(c1, r1):
+    lab = c1.astype(np.int64).copy()
+    lab[c1 == RESERVOIR] = r1
+    lab[c1 == UNCOLORED] = -1
+    return lab
+
+
+def shift_counts(g, counts, verts, old, new):
+    nbrs = np.concatenate([g.neighbors(v) for v in verts.tolist()]
+                          or [np.empty(0, dtype=np.int64)])
+    degs = g.degrees[verts]
+    rep_old = np.repeat(old, degs)
+    rep_new = np.repeat(new, degs)
+    dec = rep_old >= 0
+    np.subtract.at(counts, (nbrs[dec], rep_old[dec]), 1)
+    inc = rep_new >= 0
+    np.add.at(counts, (nbrs[inc], rep_new[inc]), 1)
+
+
+def repair_event(g, counts, labels, c2, members, c, cls, r2, overfull, lo, v):
+    if overfull:
+        cand = members[c2[members] == cls % r2]
+        target = int(np.argmin(counts[v, c * r2:(c + 1) * r2]))
+    else:
+        cand = members[c2[members] != cls % r2]
+        target = cls % r2
+    if cand.size == 0:
+        raise ResampleBudgetExhausted(
+            f"stage two: event (v={v}, class={cls}) has no movable neighbor")
+    best_w, best_score = -1, None
+    for w in cand.tolist():
+        old_cls = c * r2 + int(c2[w])
+        created = int((counts[g.neighbors(w), old_cls] <= lo + 1).sum())
+        if best_score is None or created < best_score:
+            best_w, best_score = w, created
+            if created == 0:
+                break
+    old = labels[[best_w]].copy()
+    c2[best_w] = target
+    labels[best_w] = c * r2 + target
+    shift_counts(g, counts, np.asarray([best_w]), old, labels[[best_w]])
+
 
 def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None):
     n, r1 = g.n, params.r1
     rng = rng_for(seed, _STAGE1_TAG)
-    c1 = _draw_stage1(rng, n, params.b_prob, params.p1, r1)
+    c1 = draw_stage1(rng, n, params.b_prob, params.p1, r1)
     lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (r1 + 1,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (r1 + 1,))
-    counts = _neighbor_counts(g, _column_labels(c1, r1), r1 + 1)
+    counts = _neighbor_counts(g, column_labels(c1, r1), r1 + 1)
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
     while True:
@@ -53,9 +112,9 @@ def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None):
             raise ResampleBudgetExhausted(
                 f"stage one: {flat.size} bad events after {cap} resamples")
         w = g.neighbors(v).astype(np.int64)
-        old_cols = _column_labels(c1[w], r1)
-        c1[w] = _draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
-        _shift_counts(g, counts, w, old_cols, _column_labels(c1[w], r1))
+        old_cols = column_labels(c1[w], r1)
+        c1[w] = draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
+        shift_counts(g, counts, w, old_cols, column_labels(c1[w], r1))
     return ColorAssignment(c1=c1, c2=None, r1=r1, r2=params.r2, resamples=resamples)
 
 
@@ -96,12 +155,27 @@ def reference_stage_two(g, stage1, params, seed, thresholds=None,
             old = labels[members].copy()
             c2[members] = rng.integers(0, r2, size=members.size).astype(np.int32)
             labels[members] = c1[members].astype(np.int64) * r2 + c2[members]
-            _shift_counts(g, counts, members, old, labels[members])
+            shift_counts(g, counts, members, old, labels[members])
         else:
-            _repair_event(g, counts, labels, c2, members, c, cls, r2,
-                          int(counts[v, cls]) >= hi, lo, v)
+            repair_event(g, counts, labels, c2, members, c, cls, r2,
+                         int(counts[v, cls]) >= hi, lo, v)
     return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
                            resamples=stage1.resamples + resamples)
+
+
+def assert_stages_match_reference(g, pars, seed, th1=None, th2=None):
+    """Both stages, against the reference loops; returns the two assignments."""
+    a1 = stage_one(g, pars, seed, thresholds=th1)
+    ref1 = reference_stage_one(g, pars, seed, thresholds=th1)
+    assert a1.c1.dtype == ref1.c1.dtype
+    assert np.array_equal(a1.c1, ref1.c1)
+    assert a1.resamples == ref1.resamples
+    a2 = stage_two(g, a1, pars, seed, thresholds=th2)
+    ref2 = reference_stage_two(g, ref1, pars, seed, thresholds=th2)
+    assert np.array_equal(a2.c1, ref2.c1)
+    assert np.array_equal(a2.c2, ref2.c2)
+    assert a2.resamples == ref2.resamples
+    return a1, a2
 
 
 def bad_event_count(exc_info) -> int:
@@ -114,16 +188,7 @@ def bad_event_count(exc_info) -> int:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_practice_stages_match_full_rescan(n, d, seed):
     g = random_regular(n, d, seed)
-    pars = practice_params(n, d)
-    a1 = stage_one(g, pars, seed)
-    ref1 = reference_stage_one(g, pars, seed)
-    assert np.array_equal(a1.c1, ref1.c1)
-    assert a1.resamples == ref1.resamples
-    a2 = stage_two(g, a1, pars, seed)
-    ref2 = reference_stage_two(g, ref1, pars, seed)
-    assert np.array_equal(a2.c1, ref2.c1)
-    assert np.array_equal(a2.c2, ref2.c2)
-    assert a2.resamples == ref2.resamples
+    a1, a2 = assert_stages_match_reference(g, practice_params(n, d), seed)
     if d == 16:
         # sparse enough that the first stage-two draw leaves classes missing
         # from some neighborhoods, so practice mode runs its repair branch
@@ -136,17 +201,47 @@ def test_theory_rerandomize_matches_full_rescan(seed):
     pars = theory_params(400, 24)
     # stage one: every color and the reservoir seen at least twice
     th1 = (np.array([2.0, 2.0, 2.0]), np.full(3, np.inf))
-    a1 = stage_one(g, pars, seed, thresholds=th1)
-    ref1 = reference_stage_one(g, pars, seed, thresholds=th1)
-    assert np.array_equal(a1.c1, ref1.c1)
-    assert a1.resamples == ref1.resamples
     # stage two: every class seen, none more than eleven times
-    th2 = (0.0, 12.0)
-    a2 = stage_two(g, a1, pars, seed, thresholds=th2)
-    ref2 = reference_stage_two(g, ref1, pars, seed, thresholds=th2)
+    a1, a2 = assert_stages_match_reference(g, pars, seed, th1, (0.0, 12.0))
     assert a2.resamples > a1.resamples  # the re-randomize branch ran
-    assert np.array_equal(a2.c2, ref2.c2)
-    assert a2.resamples == ref2.resamples
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_non_regular_graph_matches_full_rescan(seed):
+    # G(n, p) with mean degree 20: neighborhoods differ in size, so each
+    # resample moves a different number of count slots per vertex
+    g = binomial_random(2000, 0.01, seed)
+    assert g.regular_degree() is None and g.degrees.min() > 0
+    pars = practice_params(2000, 20)
+    # lenient stage-one bounds that every vertex's degree can meet: three
+    # neighbors of each color, for stage two's classes, and one in reservoir
+    th1 = (np.array([3.0] * pars.r1 + [1.0]), np.full(pars.r1 + 1, np.inf))
+    a1, a2 = assert_stages_match_reference(g, pars, seed, th1)
+    assert a1.resamples > 0 and a2.resamples > a1.resamples
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_finite_upper_bound_matches_full_rescan(seed):
+    g = random_regular(400, 24, seed)
+    pars = theory_params(400, 24)
+    # E = 10.08 per color and 3.84 for the reservoir: windows around them
+    # that the first draw leaves on both sides, in every seed used here
+    th1 = (np.array([4.0, 4.0, 1.0]), np.array([16.0, 16.0, 8.0]))
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1, (0.0, 12.0))
+    counts = _neighbor_counts(g, column_labels(a1.c1, pars.r1), pars.r1 + 1)
+    assert (counts <= th1[1]).all()
+    assert a1.resamples > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_uncolored_vertices_match_full_rescan(seed):
+    g = random_regular(400, 24, seed)
+    # b_prob + r1 * p1 = 0.86: about one vertex in seven draws no label, and
+    # its moves in and out of the uncolored state change no count
+    pars = replace(theory_params(400, 24), p1=0.35)
+    th1 = (np.array([3.0, 3.0, 1.0]), np.array([16.0, 16.0, 8.0]))
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1, (0.0, 12.0))
+    assert (a1.c1 == UNCOLORED).any()
 
 
 def test_stage_one_degenerate_single_color():
@@ -172,7 +267,7 @@ def test_stage_one_postcondition_audit():
     g = random_regular(600, 16, 3)
     pars = practice_params(600, 16)
     out = stage_one(g, pars, 1)
-    counts = _neighbor_counts(g, _column_labels(out.c1, pars.r1), pars.r1 + 1)
+    counts = _neighbor_counts(g, column_labels(out.c1, pars.r1), pars.r1 + 1)
     lo, hi = stage_one_thresholds(pars)
     assert (counts >= lo).all()
     assert (counts <= hi).all()

@@ -6,6 +6,7 @@ import pytest
 from cdspack import (Graph, components_of, complete_graph, cycle_graph,
                      edge_count_between, gamma_restricted, induced_subgraph,
                      load_graph, random_regular, save_graph, vertex_set)
+from cdspack.graph import concat_neighbors
 from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError, GraphFormatError
 from cdspack.rand import rng_for
@@ -143,6 +144,14 @@ def test_adjacency_is_sorted_and_symmetric():
         for v in g.neighbors(u).tolist():
             assert g.has_edge(v, u)
     assert not g.has_edge(1, 3)
+
+
+def test_concat_neighbors_matches_per_vertex_lists():
+    # vertex 5 is isolated, so runs of length 0 sit between the others
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 6)])
+    for verts in ([], [5], [5, 5], [2], [2, 5, 0], [6, 3, 3, 1], list(range(7))):
+        want = [w for v in verts for w in g.neighbors(v).tolist()]
+        assert concat_neighbors(g, np.asarray(verts, dtype=np.int64)).tolist() == want
 
 
 def test_edge_count_examples():

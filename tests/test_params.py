@@ -102,6 +102,22 @@ def test_input_validation():
         derive_params(100, 10, 1.0, 0.5, mode="rehearsal")
 
 
+@pytest.mark.parametrize("mode", ["practice", "theory"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"m": 0}, "override m = 0 < 1"),
+    ({"m": -1, "D": 8}, "override m = -1 < 1"),
+    ({"D": 2}, "override D = 2 < 3"),
+], ids=["m-0", "m-negative", "D-2"])
+def test_overrides_below_their_least_value_are_rejected(mode, overrides, message):
+    with pytest.raises(ValueError, match=message):
+        derive_params(5000, 64, 17.0, 0.3, mode, overrides=overrides)
+
+
+def test_smallest_overrides_are_accepted():
+    pars = derive_params(5000, 64, 17.0, 0.3, "practice", overrides={"m": 1, "D": 3})
+    assert (pars.m, pars.D) == (1, 3)
+
+
 def test_json_round_trip_keys():
     pars = derive_params(5000, 64, 17.0, 0.3, "practice", overrides={"m": 2, "D": 8})
     blob = pars.to_json()
