@@ -5,6 +5,7 @@ are deterministic for a fixed config and seed; wall-clock timings live under
 the separate "timings" key so reports stay diffable. A failed run reports
 its phase under "error"; phases fed by arguments catch _CAUGHT, coloring and
 connect only CdsPackError, and _ERROR_CODE maps each failure to its code.
+Arguments argparse rejects are reported under phase "arguments" by _Parser.
 """
 
 from __future__ import annotations
@@ -225,8 +226,17 @@ def _int_at_least(least: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors also print the JSON report."""
+
+    def error(self, message: str):
+        print(_dumps({"error": error_body("arguments",
+                                          argparse.ArgumentError(None, message))}))
+        super().error(message)  # the usage message on stderr, then exit 2
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdspack",
         description="Construct and verify packings of disjoint connected dominating sets.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -28,6 +28,10 @@ Stage two uses the same band in both modes: each (c, c') must appear in every
 neighborhood strictly more than eps^2 * ln d times and strictly fewer than
 20 * ln d times. At desk scale the lower bound reduces to "at least once",
 which is exactly domination.
+
+build_family labels all d_star classes in one `graph.label_components` call,
+which gives both whether each class dominates and the lowest vertex of each
+of its components; the connector takes those as its representatives.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from math import inf, log
 import numpy as np
 
 from .errors import PostconditionViolation, ResampleBudgetExhausted
-from .graph import Graph, components_of, concat_neighbors
+# unused here, but perfbench/trace_pack.py wraps coloring.components_of
+from .graph import components_of  # noqa: F401
+from .graph import Graph, concat_neighbors, label_components
 from .params import PackingParams
 from .rand import rng_for
 
@@ -365,7 +371,7 @@ def build_family(g: Graph, stage2_out: ColorAssignment,
     labels[c1 < 0] = -1
 
     reservoir = np.flatnonzero(c1 == RESERVOIR)
-    sets = [np.flatnonzero(labels == i) for i in range(d_star)]
+    sets = [np.flatnonzero(labels == i).tolist() for i in range(d_star)]
 
     # property: every vertex has at least b_prob*d/2 neighbors in the reservoir
     counts = _neighbor_counts(g, _column_labels(c1, r1), r1 + 1)
@@ -378,29 +384,24 @@ def build_family(g: Graph, stage2_out: ColorAssignment,
             detail=f"vertex {v} has {int(counts[v, r1])} reservoir neighbors, "
                    f"needs >= {res_need:.3f}")
 
-    # property: every class dominates (member or neighbor in every class)
-    class_counts = _neighbor_counts(g, labels, d_star)
-    for i in range(d_star):
-        covered = (class_counts[:, i] > 0) | (labels == i)
-        if not covered.all():
-            v = int(np.flatnonzero(~covered)[0])
+    # properties: every class dominates (member or neighbor in every class),
+    # and each induces few components; one labelling finds both
+    classes = label_components(g, sets)
+    for i, v in enumerate(classes.uncovered.tolist()):
+        if v < n:
             raise PostconditionViolation(
                 "dominating", witness=v,
                 detail=f"vertex {v} has no neighbor in set {i}")
-
-    # property: each class induces few components
     comp_bound = 20 * n / (params.epsilon ** 2 * params.d)
-    representatives = []
-    for i, members in enumerate(sets):
-        reps = [comp[0] for comp in components_of(g, members)]
+    representatives = classes.lowest()
+    for i, reps in enumerate(representatives):
         if len(reps) > comp_bound:
             raise PostconditionViolation(
                 "component-count", witness=i,
                 detail=f"set {i} has {len(reps)} components, bound {comp_bound:.3f}")
-        representatives.append(reps)
 
     return DominatingFamily(
         reservoir=reservoir.tolist(),
-        sets=[s.tolist() for s in sets],
+        sets=sets,
         representatives=representatives,
     )

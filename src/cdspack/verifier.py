@@ -1,9 +1,12 @@
 """Construction-agnostic certification of packings, plus tiny-graph oracles.
 
-verify_packing trusts nothing it is handed: connectivity is re-derived by
-fresh traversal and certificates are only cross-checked afterwards. The
-brute-force oracles enumerate subsets directly from the definitions and are
-hard-guarded against accidental exponential runs.
+verify_packing trusts nothing it is handed: domination and connectivity of
+every set are re-derived by one `graph.label_components` call per packing,
+and certificates are only cross-checked afterwards, in array passes:
+membership and edge existence by binary search over sorted keys, and
+acyclicity by labelling the certificate's own edges. The brute-force oracles
+enumerate subsets directly from the definitions and are hard-guarded against
+accidental exponential runs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .graph import Graph, components_of, concat_neighbors, vertex_set
+from .graph import (Graph, SetComponents, components_of, label_components,
+                    min_labels, vertex_set)
 
 
 @dataclass
@@ -50,15 +54,8 @@ def is_dominating(g: Graph, s) -> tuple[bool, int | None]:
 
     On failure returns the lowest-id uncovered vertex as witness.
     """
-    members = vertex_set(s, g.n)
-    covered = np.zeros(g.n, dtype=bool)
-    if members:
-        arr = np.asarray(members, dtype=np.int64)
-        covered[arr] = True
-        covered[concat_neighbors(g, arr)] = True
-    if covered.all():
-        return True, None
-    return False, int(np.flatnonzero(~covered)[0])
+    witness = int(label_components(g, [vertex_set(s, g.n)]).uncovered[0])
+    return (True, None) if witness == g.n else (False, witness)
 
 
 def is_connected_set(g: Graph, s) -> bool:
@@ -66,37 +63,88 @@ def is_connected_set(g: Graph, s) -> bool:
     return len(components_of(g, s)) <= 1
 
 
-def _check_certificate(g: Graph, members: list[int], cert) -> str | None:
-    """None if cert is a spanning tree of g[members], else a reason string."""
-    mset = set(members)
-    if len(cert) != max(len(members) - 1, 0):
-        return f"certificate has {len(cert)} edges, expected {len(members) - 1}"
-    parent = {v: v for v in members}
+def _certificate_faults(g: Graph, lab: SetComponents,
+                        certs: dict[int, list]) -> dict[int, str]:
+    """The reason each certificate in `certs` is not a spanning tree of its set.
+
+    `certs` maps a set's index in `lab` to its certificate; sets whose
+    certificate is sound are left out of the result. Edge counts are
+    compared first. The edges of the other certificates are then checked
+    in arrays: membership against the items of `lab`, existence against the
+    sorted CSR keys row·n + neighbour, and acyclicity by labelling each
+    certificate's own edges. Only a certificate found faulty is replayed
+    edge by edge, to name its first offending edge.
+    """
+    if not certs:
+        return {}
+    n, k = g.n, lab.uncovered.size
+    sizes = np.bincount(lab.owner, minlength=k).tolist()
+    faults = {}
+    for j, cert in certs.items():
+        if len(cert) != max(sizes[j] - 1, 0):
+            faults[j] = f"certificate has {len(cert)} edges, expected {sizes[j] - 1}"
+    checked = [j for j in certs if j not in faults]
+    if not checked:
+        return faults
+    edges = [e for j in checked for e in certs[j]]
+    of_set = np.repeat(checked, [len(certs[j]) for j in checked])[:, None]
+    # ids outside 0..n-1 are never members; -1 keeps them out of int64 range
+    ends = np.array([v if 0 <= v < n else -1 for e in edges for v in e],
+                    dtype=np.int64).reshape(-1, 2)
+    # each key array ends in a sentinel above every query, so every
+    # searchsorted position can be read
+    item_keys = np.append(lab.owner * n + lab.vertex, k * n)
+    item = np.searchsorted(item_keys, of_set * n + ends)
+    leaves = ((item_keys[item] != of_set * n + ends) | (ends < 0)).any(axis=1)
+    csr_keys = np.empty(g.indices.size + 1, dtype=np.int64)
+    np.multiply(g.row_index, n, out=csr_keys[:-1])
+    csr_keys[:-1] += g.indices
+    csr_keys[-1] = n * n
+    want = ends[:, 0] * n + ends[:, 1]
+    missing = csr_keys[np.searchsorted(csr_keys, want)] != want
+    bad = leaves | missing
+    tree = np.flatnonzero(~bad)
+    labels = min_labels(lab.owner.size, np.concatenate([item[tree, 0], item[tree, 1]]),
+                        np.concatenate([item[tree, 1], item[tree, 0]]))
+    roots = np.bincount(lab.owner[labels == np.arange(labels.size)],
+                        minlength=k)
+    starts = np.concatenate([[0], np.cumsum([len(certs[j]) for j in checked])])
+    for j, lo, hi in zip(checked, starts[:-1].tolist(), starts[1:].tolist()):
+        if bad[lo:hi].any() or roots[j] > 1:
+            faults[j] = _first_fault(certs[j], leaves[lo:hi].tolist(),
+                                     missing[lo:hi].tolist())
+    return faults
+
+
+def _first_fault(cert, leaves: list[bool], missing: list[bool]) -> str:
+    """The first edge of `cert` that leaves its set, is no graph edge or closes a cycle."""
+    parent: dict = {}
 
     def find(v):
-        while parent[v] != v:
+        while parent.setdefault(v, v) != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    for u, v in cert:
-        if u not in mset or v not in mset:
+    for (u, v), out, absent in zip(cert, leaves, missing):
+        if out:
             return f"certificate edge ({u}, {v}) leaves the set"
-        if not g.has_edge(u, v):
+        if absent:
             return f"certificate edge ({u}, {v}) is not a graph edge"
         ru, rv = find(u), find(v)
         if ru == rv:
             return f"certificate edge ({u}, {v}) closes a cycle"
         parent[ru] = rv
-    return None
+    raise RuntimeError("unreachable: a faulty certificate has a faulty edge")
 
 
 def verify_packing(g: Graph, packing, target: int | None = None) -> VerificationReport:
     """Certify a packing against the definitions alone.
 
-    Checks pairwise disjointness, then per set: domination and connectivity
-    by fresh traversal; certificates, when present, are cross-checked but
-    never trusted. Failures are data, not errors.
+    Checks pairwise disjointness, then per set: domination and connectivity,
+    re-derived from the graph by one `label_components` call over every set
+    in range; certificates, when present, are cross-checked but never
+    trusted. Failures are data, not errors.
     """
     sets = [list(s) for s in packing.sets]
     certs = list(getattr(packing, "certificates", []) or [])
@@ -104,10 +152,12 @@ def verify_packing(g: Graph, packing, target: int | None = None) -> Verification
 
     owner: dict[int, int] = {}
     disjoint = True
+    out_of_range = set()
     for i, members in enumerate(sets):
         for v in members:
             if not 0 <= v < g.n:
                 failures.append((i, "vertex out of range", v))
+                out_of_range.add(i)
                 continue
             if v in owner:
                 disjoint = False
@@ -115,26 +165,23 @@ def verify_packing(g: Graph, packing, target: int | None = None) -> Verification
             else:
                 owner[v] = i
 
-    dominating: list[bool] = []
-    connected: list[bool] = []
-    for i, members in enumerate(sets):
-        if any(not 0 <= v < g.n for v in members):
-            dominating.append(False)
-            connected.append(False)
-            continue
-        members = vertex_set(members, g.n)
-        dom, witness = is_dominating(g, members)
-        dominating.append(dom)
-        if not dom:
+    checked = [i for i in range(len(sets)) if i not in out_of_range]
+    lab = label_components(g, [sets[i] for i in checked])
+    comps = np.bincount(lab.owner[lab.vertex == lab.root], minlength=len(checked)).tolist()
+    faults = _certificate_faults(g, lab, {
+        j: certs[i] for j, i in enumerate(checked) if i < len(certs) and certs[i]})
+
+    dominating = [False] * len(sets)
+    connected = [False] * len(sets)
+    for j, (i, witness) in enumerate(zip(checked, lab.uncovered.tolist())):
+        dominating[i] = witness == g.n
+        if not dominating[i]:
             failures.append((i, "not dominating", witness))
-        conn = is_connected_set(g, members)
-        connected.append(conn)
-        if not conn:
+        connected[i] = comps[j] <= 1
+        if not connected[i]:
             failures.append((i, "not connected", None))
-        if i < len(certs) and certs[i]:
-            reason = _check_certificate(g, members, certs[i])
-            if reason is not None:
-                failures.append((i, f"certificate invalid: {reason}", None))
+        if j in faults:
+            failures.append((i, f"certificate invalid: {faults[j]}", None))
 
     return VerificationReport(
         packing_size=len(sets),

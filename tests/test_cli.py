@@ -135,24 +135,44 @@ def test_pack_unreadable_input_is_an_input_error(tmp_path):
     assert [t["error"]["phase"] for t in trials] == ["generate", "generate"]
 
 
+def assert_argument_error(capsys, message):
+    """The usage message on stderr, and one JSON report naming it on stdout."""
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["phase"] == "arguments" and error["type"] == "ArgumentError"
+    assert message in error["message"]
+
+
 def test_pack_rejects_fewer_than_one_trial(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pack", "--n", "400", "--d", "12", "--trials", "0"])
     assert exc.value.code == EXIT_CODES["usage"]
-    assert "--trials" in capsys.readouterr().err
+    assert_argument_error(capsys, "argument --trials: must be at least 1")
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["pack", "--n", "400", "--d", "12", "--max-sets", "-1"], "--max-sets"),
-    (["pack", "--n", "400", "--d", "12", "--target", "-2"], "--target"),
+@pytest.mark.parametrize("argv, message", [
+    (["pack", "--n", "400", "--d", "12", "--max-sets", "-1"],
+     "argument --max-sets: must be at least 0"),
+    (["pack", "--n", "400", "--d", "12", "--target", "-2"],
+     "argument --target: must be at least 0"),
     (["verify", "--input", "g.txt", "--packing", "p.json", "--target", "-1"],
-     "--target"),
-], ids=["pack-max-sets", "pack-target", "verify-target"])
-def test_negative_counts_are_usage_errors(capsys, argv, flag):
+     "argument --target: must be at least 0"),
+    (["pack", "--n", "abc", "--d", "12"], "argument --n: invalid int value: 'abc'"),
+], ids=["pack-max-sets", "pack-target", "verify-target", "pack-n-word"])
+def test_negative_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_CODES["usage"]
-    assert f"argument {flag}: must be at least 0" in capsys.readouterr().err
+    assert_argument_error(capsys, message)
+
+
+def test_help_prints_no_report(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pack", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cdspack pack")
 
 
 def test_report_is_one_line_of_json(tmp_path, capsys):
@@ -189,13 +209,11 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert calls["cli.emit"] == 1
     assert calls["coloring.stage_one"] > 0
     assert calls["connector.connect_family"] > 0
-    # components are found once per set by build_family, whose lowest
-    # vertices the connector reuses as representatives, and its one
-    # verification re-derives connectivity per packed set
+    # build_family and the verification each label all their sets in one
+    # label_components call, so the one-set components_of is never called
     trials = json.loads(proc.stdout)["trials"]
     assert all("error" not in t and t["coloring_attempts"] == 1 for t in trials)
-    assert calls["graph.components_of"] == sum(
-        t["family"]["set_count"] + len(t["packing"]["sets"]) for t in trials)
+    assert calls["graph.components_of"] == 0
 
 
 @pytest.mark.parametrize("argv, code, phase", [

@@ -3,10 +3,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from cdspack import (Graph, components_of, complete_graph, cycle_graph,
-                     edge_count_between, gamma_restricted, induced_subgraph,
-                     load_graph, random_regular, save_graph, vertex_set)
-from cdspack.graph import concat_neighbors
+from cdspack import (Graph, binomial_random, components_of, complete_graph,
+                     cycle_graph, edge_count_between, gamma_restricted,
+                     induced_subgraph, load_graph, random_regular, save_graph,
+                     vertex_set)
+from cdspack import graph
+from cdspack.graph import concat_neighbors, label_components, min_labels
 from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError, GraphFormatError
 from cdspack.rand import rng_for
@@ -88,6 +90,25 @@ def reference_components(g, s):
                     seen.add(w)
                     comp.append(w)
                     queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def set_search_components(g, s):
+    """The set search `label_components` replaced, one set at a time."""
+    members = vertex_set(s, g.n)
+    unreached = set(members)
+    comps = []
+    for start in members:
+        if start not in unreached:
+            continue
+        unreached.discard(start)
+        comp = [start]
+        for u in comp:  # comp grows behind the loop: a BFS queue
+            found = unreached.intersection(g.neighbors(u).tolist())
+            if found:
+                unreached -= found
+                comp.extend(found)
         comps.append(sorted(comp))
     return comps
 
@@ -226,6 +247,64 @@ def test_components_match_reference_bfs(seed):
     for size in rng.integers(0, 400, size=100).tolist():
         s = rng.integers(0, 400, size=size).tolist()  # unsorted, with repeats
         assert components_of(g, s) == reference_components(g, s)
+
+
+def random_sets(rng, n, count):
+    """Unsorted sets with repeats, some empty; sets overlap and may recur."""
+    sets = [rng.integers(0, n, size=int(rng.integers(0, n + 2))).tolist()
+            for _ in range(count)]
+    if sets and rng.random() < 0.5:
+        sets.insert(int(rng.integers(0, len(sets))), list(reversed(sets[0])))
+    return sets
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_label_components_matches_set_search(seed):
+    """Every set is labelled on its own, as the old search labelled it alone,
+    including when the sets outnumber the average degree and are labelled
+    in blocks."""
+    rng = rng_for(113, seed)
+    graphs = [random_regular(400, 8, seed), cycle_graph(9), Graph(5, [])]
+    graphs += [binomial_random(int(rng.integers(2, 60)), float(p), seed=seed)
+               for p in rng.uniform(0.01, 0.3, size=20)]
+    for g in graphs:
+        for _ in range(5):
+            sets = random_sets(rng, g.n, int(rng.integers(0, 12)))
+            lab = label_components(g, sets)
+            expected = [set_search_components(g, s) for s in sets]
+            assert lab.lowest() == [[c[0] for c in comps] for comps in expected]
+            for j, (s, comps) in enumerate(zip(sets, expected)):
+                mine = lab.owner == j
+                assert lab.vertex[mine].tolist() == vertex_set(s)
+                root = dict(zip(lab.vertex[mine].tolist(), lab.root[mine].tolist()))
+                assert root == {v: comp[0] for comp in comps for v in comp}
+                closed = set(s).union(*(g.neighbors(v).tolist() for v in s))
+                assert lab.uncovered[j] == min(set(range(g.n)) - closed, default=g.n)
+                assert components_of(g, s) == comps
+
+
+@pytest.mark.parametrize("order", ["sorted", "permuted"])
+def test_min_labels_rounds_grow_with_log_size(monkeypatch, order):
+    """A path of 1024 vertices, numbered along it or at random, settles in at
+    most 2·log2(1024) rounds; propagation along edges alone, or hooking
+    without pointer jumping, needs hundreds of rounds or never settles."""
+    rounds = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def count_nonzero(self, x):  # one call ends each round
+            rounds.append(1)
+            assert len(rounds) <= 20, "too many rounds"
+            return np.count_nonzero(x)
+
+    size = 1024
+    ids = np.arange(size) if order == "sorted" else rng_for(131).permutation(size)
+    a, b = ids[:-1], ids[1:]
+    monkeypatch.setattr(graph, "np", CountingNumpy())
+    labels = min_labels(size, np.concatenate([a, b]), np.concatenate([b, a]))
+    assert labels.tolist() == [0] * size
 
 
 def test_vertex_set_normalizes():
