@@ -71,6 +71,8 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     try:
         t0 = time.perf_counter()
         for attempt in range(COLORING_RESTARTS):
+            # set before the attempt runs, so a failed run reports it too
+            body["coloring_attempts"] = attempt + 1
             try:
                 a1 = coloring.stage_one(g, pars, seed + attempt)
                 a2 = coloring.stage_two(g, a1, pars, seed + attempt)
@@ -83,7 +85,6 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     except CdsPackError as exc:
         return fail("coloring", exc)
     result.family = family
-    body["coloring_attempts"] = attempt + 1
     body["coloring_resamples"] = {"stage_one": a1.resamples,
                                   "stage_two": a2.resamples - a1.resamples}
     body["family"] = {

@@ -8,15 +8,19 @@ eigenvalue d). Estimates coming from the iterative path get a +5% safety
 margin before being consumed by parameter derivation.
 
 Parameters depend on lambda only through d / (1.05 lambda), so `pack` runs
-Lanczos to a relative tolerance of 1e-3: on random regular graphs with
-n <= 2000, d <= 64 and seeds 1-3 its estimate fell at most 4.5e-5
-(relative) below the dense lambda, and at n = 5000 at most 2.2e-5 below a
-1e-10 run. That is an empirical figure for the sizes tested, not a bound;
-the margin covers it a thousandfold. `spectrum` keeps 1e-9. Every profile
-carries the true residual |A'x - theta x| of the unit Ritz vector x at each
-end (A' the deflated operator), so a report shows how well its lambda
-converged; the dense path reports 0. The residual does not bound the
-distance to the extreme eigenvalue: a Ritz pair that converged to an
+Lanczos to a relative tolerance of 1e-3. A tolerance that coarse is far
+above float32's resolution, so the Lanczos call runs in single precision
+whenever tol >= 1000 float32 epsilons (about 1.2e-4), and in float64 below
+that: `pack` runs in float32, `spectrum` (1e-9) in float64. At 1e-3 in
+float32, on random regular graphs with n <= 2000, d <= 64 and seeds 1-3
+the estimate fell at most 4.45e-5 (relative) below the dense lambda
+(4.49e-5 in float64), and at n = 5000 at most 2.1e-5 below a 1e-10 run.
+That is an empirical figure for the sizes tested, not a bound; the margin
+covers it a thousandfold. Every profile carries the true residual
+|A'x - theta x| of the unit Ritz vector x at each end (A' the deflated
+operator), its squares summed in float64, so a report shows how well its
+lambda converged; the dense path reports 0. The residual does not bound
+the distance to the extreme eigenvalue: a Ritz pair that converged to an
 interior eigenvalue has a small residual too, so the margin stays.
 """
 
@@ -82,8 +86,8 @@ def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
     Dense eigendecomposition for n <= DENSE_LIMIT, Lanczos above that.
     """
     d = _require_regular(g)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if g.n <= DENSE_LIMIT:
         lambda2, lambda_n = _dense_extremal(g)
         return _profile(d, lambda2, lambda_n, 0.0, 0.0, tol, "dense")
@@ -95,8 +99,8 @@ def _dense_extremal(g: Graph) -> tuple[float, float]:
     return float(w[-2]), float(w[0])
 
 
-def _adjacency_csr(g: Graph) -> sp.csr_matrix:
-    data = np.ones(g.indices.size)
+def _adjacency_csr(g: Graph, dtype=np.float64) -> sp.csr_matrix:
+    data = np.ones(g.indices.size, dtype=dtype)
     return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
@@ -118,16 +122,19 @@ def _iterative_extremal(g: Graph, tol: float) -> tuple[float, float, float, floa
         return 0.0, 0.0, 0.0, 0.0
     if d == n - 1:
         return -1.0, -1.0, 0.0, 0.0
-    a = _adjacency_csr(g)
-    op = spla.LinearOperator((n, n), matvec=lambda x: a @ x - d * x.mean(), dtype=float)
-    v0 = rng_for(_V0_TAG, n).standard_normal(n)
+    # single precision when tol is far coarser than its resolution (1.2e-4)
+    dtype = np.float32 if tol >= 1000 * np.finfo(np.float32).eps else np.float64
+    a = _adjacency_csr(g, dtype)
+    op = spla.LinearOperator((n, n), matvec=lambda x: a @ x - d * x.mean(), dtype=dtype)
+    v0 = rng_for(_V0_TAG, n).standard_normal(n).astype(dtype)
     try:
         w, x = spla.eigsh(op, k=2, which="BE", tol=tol, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise EigenConvergenceError(f"Lanczos did not converge: {exc}") from None
     # both residuals from one sparse product; these two columns are the only
-    # applications of A' outside the Lanczos call
-    residual = np.linalg.norm(a @ x - d * x.mean(axis=0) - x * w, axis=0)
+    # applications of A' outside the Lanczos call; their norms sum in float64
+    r = a @ x - d * x.mean(axis=0) - x * w
+    residual = np.linalg.norm(r.astype(np.float64, copy=False), axis=0)
     hi, lo = int(np.argmax(w)), int(np.argmin(w))
     return float(w[hi]), float(w[lo]), float(residual[hi]), float(residual[lo])
 

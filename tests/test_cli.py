@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from cdspack import coloring
 from cdspack.cli import EXIT_CODES, main
+from cdspack.errors import PostconditionViolation, ResampleBudgetExhausted
 from cdspack.graph import load_graph
 
 REPO = Path(__file__).resolve().parents[1]
@@ -219,11 +221,15 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
 @pytest.mark.parametrize("argv, code, phase", [
     (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
     (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "spectral"),
+    (["pack", "--n", "600", "--d", "16", "--tol", "nan"], "usage", "spectral"),
+    (["pack", "--n", "600", "--d", "16", "--tol", "inf"], "usage", "spectral"),
     (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
     (["pack", "--n", "600", "--d", "16", "--override-m", "-1"], "usage", "params"),
     (["pack", "--n", "600", "--d", "16", "--override-D", "2"], "usage", "params"),
     (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
+    (["spectrum", "--input", "{graph}", "--tol", "nan"], "usage", "spectral"),
+    (["spectrum", "--input", "{graph}", "--tol", "inf"], "usage", "spectral"),
     (["gen", "--kind", "petersen", "--out", "{tmp}/missing/x.txt"], "input",
      "generate"),
     (["spectrum", "--input", "{tmp}/word.txt"], "input", "load"),
@@ -232,9 +238,10 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
      "load"),
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
-], ids=["pack-odd-degree-sum", "pack-tol-0", "pack-epsilon-1.5",
-        "pack-override-m-negative", "pack-override-D-2",
-        "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
+], ids=["pack-odd-degree-sum", "pack-tol-0", "pack-tol-nan", "pack-tol-inf",
+        "pack-epsilon-1.5", "pack-override-m-negative", "pack-override-D-2",
+        "spectrum-missing-input", "spectrum-tol-0", "spectrum-tol-nan",
+        "spectrum-tol-inf", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
         "verify-packing-string-ids"])
 def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):
@@ -271,3 +278,22 @@ def test_unwritable_output_is_reported_as_an_input_error(tmp_path, capsys, flag)
     assert report["error"]["phase"] == "emit"
     assert report["error"]["type"] == "FileNotFoundError"
     assert report["verification"]["failures"] == []
+
+
+@pytest.mark.parametrize("name, exc, code, attempts", [
+    ("stage_one", ResampleBudgetExhausted("budget spent"), "resample", 3),
+    ("build_family", PostconditionViolation("P1", detail="stubbed"),
+     "postcondition", 1),
+], ids=["resample-budget", "postcondition"])
+def test_failed_coloring_reports_its_attempts(capsys, monkeypatch, name, exc,
+                                              code, attempts):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(coloring, name, fail)
+    assert main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
+                 "--seed", "1"]) == EXIT_CODES[code]
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["phase"] == "coloring"
+    assert report["error"]["type"] == type(exc).__name__
+    assert report["coloring_attempts"] == attempts

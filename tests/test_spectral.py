@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from cdspack import (complete_graph, cycle_graph, expansion_check,
                      extremal_eigenvalues, lambda_with_margin, mixing_slack,
@@ -56,17 +57,24 @@ def test_iterative_matches_dense_small():
         assert ln_i == pytest.approx(ln_d, abs=10 * tol + 1e-8)
 
 
-def test_iterative_path_makes_one_lanczos_call(monkeypatch):
+def record_eigsh(monkeypatch) -> list:
+    """Stub spectral.spla so each eigsh call appends (operator, kwargs, result)."""
     real = spectral.spla
     calls = []
 
-    def eigsh(*args, **kwargs):
-        calls.append(kwargs)
-        return real.eigsh(*args, **kwargs)
+    def eigsh(op, **kwargs):
+        result = real.eigsh(op, **kwargs)
+        calls.append((op, kwargs, result))
+        return result
 
     monkeypatch.setattr(spectral, "spla", SimpleNamespace(
         LinearOperator=real.LinearOperator, eigsh=eigsh,
         ArpackNoConvergence=real.ArpackNoConvergence))
+    return calls
+
+
+def test_iterative_path_makes_one_lanczos_call(monkeypatch):
+    calls = record_eigsh(monkeypatch)
     tol = 1e-8
     g = random_regular(600, 8, 4)
     l2_i, ln_i, r2, rn = _iterative_extremal(g, tol)
@@ -75,6 +83,66 @@ def test_iterative_path_makes_one_lanczos_call(monkeypatch):
     assert l2_i == pytest.approx(l2_d, abs=10 * tol * 8)
     assert ln_i == pytest.approx(ln_d, abs=10 * tol * 8)
     assert 0 <= r2 < 1e-5 and 0 <= rn < 1e-5  # converged pairs, tiny residuals
+
+
+PACK_TOL = _build_parser().parse_args(["pack"]).tol
+
+
+@pytest.mark.parametrize("tol, dtype", [(PACK_TOL, np.float32), (1e-6, np.float64)],
+                         ids=["pack-default", "1e-6"])
+def test_lanczos_precision_follows_tol(monkeypatch, tol, dtype):
+    calls = record_eigsh(monkeypatch)
+    g = random_regular(600, 8, 4)
+    _iterative_extremal(g, tol)
+    (op, kwargs, _), = calls
+    assert op.dtype == dtype and kwargs["v0"].dtype == dtype
+    x = rng_for(7).standard_normal(g.n).astype(dtype)
+    y = op.matvec(x)
+    assert y.dtype == dtype
+    # x -> A x - d*mean(x), in the call's precision
+    a = spectral._adjacency_csr(g)
+    expected = a @ x.astype(np.float64) - 8 * x.astype(np.float64).mean()
+    assert np.allclose(y, expected, rtol=0, atol=100 * np.finfo(dtype).eps)
+
+
+def float64_lanczos(g, tol):
+    """lambda of one float64 Lanczos call on the operator and v0 spectral uses."""
+    a = spectral._adjacency_csr(g)
+    d = g.regular_degree()
+    op = spla.LinearOperator((g.n, g.n), matvec=lambda x: a @ x - d * x.mean(),
+                             dtype=np.float64)
+    v0 = rng_for(spectral._V0_TAG, g.n).standard_normal(g.n)
+    w = spla.eigsh(op, k=2, which="BE", tol=tol, v0=v0, return_eigenvectors=False)
+    return float(np.abs(w).max())
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_single_precision_lambda_and_residuals(monkeypatch, d):
+    """At pack's tol, float32 moves lambda by far less than the tolerance, and
+    each residual is the float64 norm of A'x - theta x for the returned pair."""
+    g = random_regular(2000, d, 1)
+    calls = record_eigsh(monkeypatch)
+    prof = extremal_eigenvalues(g, tol=PACK_TOL)
+    assert prof.method == "iterative"
+    assert isinstance(prof.lambda2, float) and isinstance(prof.lambda_n, float)
+    assert prof.lam == pytest.approx(float64_lanczos(g, PACK_TOL), rel=1e-5)
+    (_, _, (w, x)), = calls
+    assert w.dtype == x.dtype == np.float32
+    w, x = w.astype(np.float64), x.astype(np.float64)
+    a = spectral._adjacency_csr(g)
+    residual = np.linalg.norm(a @ x - d * x.mean(axis=0) - x * w, axis=0)
+    hi, lo = int(np.argmax(w)), int(np.argmin(w))
+    assert (prof.lambda2, prof.lambda_n) == (w[hi], w[lo])
+    assert prof.lambda2_residual == pytest.approx(residual[hi], rel=1e-3)
+    assert prof.lambda_n_residual == pytest.approx(residual[lo], rel=1e-3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_non_finite_tol_is_rejected_before_lanczos(monkeypatch, tol):
+    calls = record_eigsh(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        extremal_eigenvalues(random_regular(600, 8, 4), tol=tol)
+    assert calls == []
 
 
 def two_copies(g):
