@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -226,6 +227,17 @@ def _int_at_least(least: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type: a finite float, so that every report is strict JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # as in "invalid float value"
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors also print the JSON report."""
 
@@ -247,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "cycle", "petersen"])
     g.add_argument("--n", type=int)
     g.add_argument("--d", type=int)
-    g.add_argument("--p", type=float)
+    g.add_argument("--p", type=_finite_float)
     g.add_argument("--k", type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -256,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="measure extremal adjacency eigenvalues")
     s.add_argument("--input", required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=_finite_float, default=1e-9)
     s.add_argument("--report")
     s.set_defaults(run=run_spectrum)
 
@@ -264,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--epsilon", type=float, default=0.3)
+    p.add_argument("--epsilon", type=_finite_float, default=0.3)
     p.add_argument("--mode", choices=["theory", "practice"], default="practice")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", type=_int_at_least(0), default=1)
@@ -274,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=1)
     # lambda is consumed as 1.05 * lambda (spectral.SAFETY_MARGIN); at 1e-3
     # the Lanczos error stays far inside that margin (see spectral's docstring)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_finite_float, default=1e-3)
     p.add_argument("--report")
     p.add_argument("--packing-out", dest="packing_out")
     p.set_defaults(run=run_pack)

@@ -1,17 +1,17 @@
 """Connect each dominating set through the reservoir.
 
-For one set: seed a linear forest with one representative per component,
-then repeatedly (1) attach a bounded-arity tree to one endpoint of every
-current path, (2) label tree vertices by tree and take the first host edge,
-in ascending vertex order, whose ends lie in two different trees, (3) add
-that edge, extract the unique tree-path it closes between two path
-endpoints, and (4) roll everything else back leaf-by-leaf. Each round merges
-exactly two paths, so a set with k components finishes after k - 1 rounds
-with a single path whose interior lies in the reservoir.
+A set's classes start as the components of the subgraph it induces. While
+more than one is left, the smallest class (ties go to its lowest vertex)
+searches level by level through the free reservoir vertices no class holds.
+The first level that reaches a vertex of another class ends the search: the
+lowest such vertex, reached from its first discoverer in frontier order,
+closes a shortest free-reservoir path between the two classes, and the path
+joins them, its interior included, into one class. A set with k components
+thus gets k - 1 paths, each with its interior in the reservoir.
 
-The forest is shared across sets and only ever grows by finalized path
-vertices of sets that connect (a failed set's paths are undone); reservoir
-vertices are therefore used by at most one path across the whole run.
+The free-reservoir mask is shared across sets. A connected set's path
+interiors leave it for good, so each reservoir vertex is used by at most one
+path across the whole run; a set that cannot be joined takes none of them.
 """
 
 from __future__ import annotations
@@ -22,24 +22,20 @@ from math import log
 import numpy as np
 
 from .coloring import DominatingFamily
-from .errors import (BudgetExceeded, CdsPackError, EmbeddingFailed, NoCrossEdge,
-                     PackingFormatError, VerificationFailed)
-from .extendable import (ExtendableForest, TreeSpec, add_edge, attach_tree,
-                         balanced_depth, new_forest, rollback)
-# unused here, but perfbench/trace_pack.py wraps connector.components_of
-from .graph import components_of  # noqa: F401
-from .graph import Graph, concat_neighbors, induced_subgraph
+from .errors import (BudgetExceeded, CdsPackError, NoCrossEdge, PackingFormatError,
+                     VerificationFailed)
+# unused here, but perfbench/trace_pack.py wraps these connector attributes
+from .extendable import add_edge, attach_tree, rollback  # noqa: F401
+from .graph import components_of, induced_subgraph  # noqa: F401
+from .graph import Graph, concat_neighbors, label_components
 from .params import PackingParams
-from .rand import rng_for
 from .spectral import expansion_check
 from .verifier import VerificationReport, verify_packing
-
-STEP_RETRY_CAP = 6
 
 
 @dataclass
 class PathRecord:
-    """One reservoir path between two representatives."""
+    """One reservoir path joining two classes of a set."""
 
     endpoints: tuple[int, int]
     internal: list[int]
@@ -123,130 +119,84 @@ def choose_representatives(g: Graph, family: DominatingFamily) -> list[list[int]
     return family.representatives
 
 
-class _StepFailed(Exception):
-    """Internal: one merge round failed; retry with fresh randomness."""
+def _shortest_join(g: Graph, sources: np.ndarray, cls: np.ndarray,
+                   free: np.ndarray) -> list[int] | None:
+    """Shortest path from `sources` to another class through free classless vertices.
 
-
-def _tree_size(params: PackingParams, k: int, arity: int, unused: int) -> int:
-    base = min(params.s // (3 * k), params.d)
-    capacity = unused // (2 * k)
-    return max(arity + 1, min(base, capacity))
-
-
-def _connect_step(forest: ExtendableForest, paths: list[list[int]],
-                  params: PackingParams, arity: int, depth_cap: int,
-                  seed_tags: tuple) -> tuple[list[int], int, int]:
-    """One merge round. Returns (internal chain, root_a, root_b).
-
-    Mutates `paths` (two entries merge into one) and the forest (internal
-    chain finalized, all other tree growth rolled back). On failure the
-    forest is restored and _StepFailed raised.
+    `cls[v]` is the class of v, or -1. Each level is searched in ascending
+    vertex order; a vertex is reached from its first discoverer. Returns the
+    path from its source to the lowest vertex of another class on the first
+    level that reaches one, or None when the search runs out.
     """
-    k = len(paths)
-    entries = sorted((min(p[0], p[-1]), idx) for idx, p in enumerate(paths))
-    unused = forest.host.n - forest.size
-    size = _tree_size(params, k, arity, unused)
-    spec = TreeSpec(arity=arity, size=size,
-                    depth_cap=min(depth_cap, balanced_depth(size, arity) + 1))
-    greedy = seed_tags[-1] == 0  # first try per step is deterministic greedy
-    trees = []
-    try:
-        for j, (endpoint, _) in enumerate(entries):
-            trees.append(attach_tree(forest, endpoint, spec,
-                                     rng_for(*seed_tags, j).integers(0, 2**63),
-                                     greedy_first=greedy))
-    except (EmbeddingFailed, BudgetExceeded):
-        for t in trees:
-            rollback(forest, t.added)
-        raise _StepFailed() from None
-
-    tree_of = np.full(forest.host.n, -1, dtype=np.int64)
-    for i, t in enumerate(trees):
-        tree_of[t.vertices] = i
-    edge = None
-    for u in np.flatnonzero(tree_of >= 0).tolist():
-        nbrs = forest.host.neighbors(u)
-        labels = tree_of[nbrs]
-        hits = nbrs[(labels >= 0) & (labels != tree_of[u])]
-        if hits.size:
-            edge = u, int(hits[0])
-            break
-    if edge is None:
-        for t in trees:
-            rollback(forest, t.added)
-        raise _StepFailed()
-
-    u, v = edge
-    ia, ib = int(tree_of[u]), int(tree_of[v])
-    chain_a = trees[ia].path_to_root(u)   # u ... root_a
-    chain_b = trees[ib].path_to_root(v)   # v ... root_b
-    add_edge(forest, u, v)
-    full_chain = list(reversed(chain_a)) + chain_b  # root_a .. u v .. root_b
-    keep = set(full_chain)
-    discard = []
-    for t in trees:
-        discard.extend(w for w in t.added if w not in keep)
-    rollback(forest, discard)
-    internal = full_chain[1:-1]
-    forest.protected.update(internal)
-
-    (root_a, idx_a), (root_b, idx_b) = entries[ia], entries[ib]
-    pa = paths[idx_a] if paths[idx_a][-1] == root_a else list(reversed(paths[idx_a]))
-    pb = paths[idx_b] if paths[idx_b][0] == root_b else list(reversed(paths[idx_b]))
-    merged = pa + internal + pb
-    for idx in sorted((idx_a, idx_b), reverse=True):
-        del paths[idx]
-    paths.append(merged)
-    return internal, root_a, root_b
+    own = cls[sources[0]]
+    # -1: free and unreached; -2: never entered; otherwise the vertex's parent
+    reach = np.where(free & (cls < 0), -1, -2)
+    frontier = sources
+    while frontier.size:
+        near = concat_neighbors(g, frontier)
+        via = np.repeat(frontier, g.degrees[frontier])
+        label = cls[near]
+        hit = np.flatnonzero((label >= 0) & (label != own))
+        if hit.size:
+            j = hit[np.argmin(near[hit])]  # argmin keeps the first discoverer
+            path = [int(near[j]), int(via[j])]
+            while reach[path[-1]] >= 0:
+                path.append(int(reach[path[-1]]))
+            return path[::-1]
+        fresh = reach[near] == -1
+        frontier, first = np.unique(near[fresh], return_index=True)
+        reach[frontier] = via[fresh][first]
+    return None
 
 
-def connect_one(forest: ExtendableForest, x_local: list[int], set_index: int,
-                params: PackingParams, seed: int) -> list[PathRecord]:
-    """Merge the representatives of one set's components into a single path.
+def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
+                params: PackingParams) -> list[PathRecord]:
+    """Join the components of one set by shortest free-reservoir paths.
 
-    Maintains the loop invariants: path interiors in the reservoir, one fewer
-    component per round, recorded per-round length bounds (enforced in theory
-    mode), and the forest never past its budget.
+    `free` marks the reservoir vertices that no earlier set's path uses; it
+    is only read. Each round joins the smallest class to its nearest one, so
+    there is one class fewer per round; each round's length bound is recorded
+    and enforced in theory mode. Raises NoCrossEdge when a class can reach no
+    other.
     """
     arity = params.D // 2 - 1
     if arity < 2:
         raise CdsPackError(f"D = {params.D} gives tree arity {arity} < 2; "
                            f"override D to at least 6")
-    depth_cap = max(1, int(log(max(params.n, 2)) / log(arity)))
-    paths = [[x] for x in sorted(x_local)]
-    k0 = len(paths)
+    lab = label_components(g, [members])
+    order = np.argsort(lab.root, kind="stable")
+    roots, vertices = lab.root[order], lab.vertex[order]
+    cuts = np.flatnonzero(roots[1:] != roots[:-1]) + 1
+    classes = dict(enumerate(np.split(vertices, cuts)))  # each sorted ascending
+    cls = np.full(g.n, -1, dtype=np.int64)
+    for c, vs in classes.items():
+        cls[vs] = c
     records: list[PathRecord] = []
-    for step in range(k0 - 1):
-        k = len(paths)
-        for retry in range(STEP_RETRY_CAP):
-            try:
-                internal, root_a, root_b = _connect_step(
-                    forest, paths, params, arity, depth_cap,
-                    (seed, set_index, step, retry))
-                break
-            except _StepFailed:
-                continue
-        else:
-            raise NoCrossEdge(
-                f"set {set_index}: round {step} found no cross edge after "
-                f"{STEP_RETRY_CAP} retries")
+    while len(classes) > 1:
+        k = len(classes)
+        c = min(classes, key=lambda c: (classes[c].size, classes[c][0]))
+        path = _shortest_join(g, classes[c], cls, free)
+        if path is None:
+            raise NoCrossEdge(f"set {set_index}: no free reservoir path leaves "
+                              f"the class of vertex {classes[c][0]}")
+        internal = path[1:-1]
+        other = int(cls[path[-1]])
+        joined = np.sort(np.concatenate(
+            [classes.pop(c), np.array(internal, dtype=np.int64), classes.pop(other)]))
+        cls[joined] = c
+        classes[c] = joined
         bound = 2 * log(params.n / k) / log(arity) + 1
         length = len(internal) + 1
         if params.mode == "theory" and length > bound:
             raise CdsPackError(
                 f"path length {length} exceeds bound {bound:.3f} in theory mode")
-        to_global = forest.to_global
         records.append(PathRecord(
-            endpoints=(to_global[root_a], to_global[root_b]),
-            internal=[to_global[w] for w in internal],
+            endpoints=(path[0], path[-1]),
+            internal=internal,
             set_index=set_index,
             length=length,
             length_bound=bound,
         ))
-        if len(paths) != k - 1:
-            raise CdsPackError(
-                f"component audit failed: {len(paths)} paths after merge, "
-                f"expected {k - 1}")
     return records
 
 
@@ -284,35 +234,26 @@ def spanning_certificate(g: Graph, members: list[int]) -> list[tuple[int, int]]:
 
 
 def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
-                   seed: int, max_sets: int | None = None) -> CdsPacking:
+                   max_sets: int | None = None) -> CdsPacking:
     """Run the connector over every set and assemble a verified packing.
 
     `max_sets` caps how many sets are connected (a partial packing is still
     sound, just smaller). A set whose connection fails is left out of the
-    packing and listed in `meta["failed_sets"]`; the forest is restored to
-    its state before that set, so the reservoir vertices of its
-    already-finalized paths stay open to the sets after it. Each packing
-    returned, even an empty one, carries its one `verify_packing` report.
+    packing and listed in `meta["failed_sets"]`; its paths take no reservoir
+    vertex from the sets after it. Each packing returned, even an empty one,
+    carries its one `verify_packing` report.
     """
     reps = choose_representatives(g, family)
     count = len(reps) if max_sets is None else min(len(reps), max_sets)
     chosen = list(range(count))
-    if not chosen:
-        return _verified(g, CdsPacking(
-            params=params, sets=[], certificates=[], paths=[],
-            meta={"family_indices": [], "failed_sets": [],
-                  "total_internal": 0, "expansion_certified": False}))
-
     x_union = sorted({v for i in chosen for v in reps[i]})
-    hosts = sorted(set(x_union) | set(family.reservoir))
-    gprime, to_global = induced_subgraph(g, hosts)
-    local = {glob: loc for loc, glob in enumerate(to_global)}
+    if len(x_union) > params.s:
+        raise BudgetExceeded(
+            f"{len(x_union)} representatives exceed budget s = {params.s}")
+    certified = bool(chosen) and _certify_expansion(g, family, params, x_union)
 
-    forest = new_forest(gprime, [local[v] for v in x_union], params.m, params.D,
-                        params.s, to_global=to_global)
-    certified = _certify_expansion(g, family, params, x_union)
-
-    b_set = set(family.reservoir)
+    free = np.zeros(g.n, dtype=bool)
+    free[family.reservoir] = True
     sets_out: list[list[int]] = []
     certs: list[list[tuple[int, int]]] = []
     paths_out: list[PathRecord] = []
@@ -322,19 +263,17 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     for i in chosen:
         recs: list[PathRecord] = []
         if family.component_counts[i] > 1:
-            adj = {v: list(nbrs) for v, nbrs in forest.adj.items()}
-            protected = set(forest.protected)
             try:
-                recs = connect_one(forest, [local[v] for v in reps[i]], i,
-                                   params, seed)
-            except (NoCrossEdge, EmbeddingFailed, BudgetExceeded):
-                forest.adj, forest.protected = adj, protected
+                recs = connect_one(g, family.sets[i], free, i, params)
+            except NoCrossEdge:
                 failed_sets.append(i)
                 continue
         internal = [v for rec in recs for v in rec.internal]
-        bad = [v for v in internal if v not in b_set]
+        bad = [v for v in internal if not free[v]]
         if bad:
-            raise CdsPackError(f"internal vertices {bad} are not in the reservoir")
+            raise CdsPackError(
+                f"internal vertices {bad} are not free reservoir vertices")
+        free[internal] = False
         total_internal += len(internal)
         members = sorted(set(family.sets[i]) | set(internal))
         sets_out.append(members)

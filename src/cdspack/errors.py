@@ -57,7 +57,7 @@ class EmbeddingFailed(CdsPackError):
 
 
 class BudgetExceeded(CdsPackError):
-    """An operation would push the forest past its vertex budget."""
+    """A vertex budget is exceeded: the forest's, or the connector's s and s/2."""
 
 
 class NoCrossEdge(CdsPackError):

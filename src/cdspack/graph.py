@@ -37,7 +37,7 @@ class Graph:
     Regularity is a queryable property, not an invariant.
     """
 
-    __slots__ = ("n", "indptr", "indices", "degrees", "_row_index")
+    __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges, _trusted: bool = False):
         if n < 0:
@@ -64,7 +64,6 @@ class Graph:
         rows, self.indices = np.divmod(keys, max(n, 1))
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         self.degrees = np.diff(self.indptr)
-        self._row_index = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -74,11 +73,8 @@ class Graph:
 
     @property
     def row_index(self) -> np.ndarray:
-        """Row id of every adjacency slot (cached; used for bincount tricks)."""
-        if self._row_index is None:
-            self._row_index = np.repeat(np.arange(self.n, dtype=np.int64),
-                                        self.degrees)
-        return self._row_index
+        """Row id of every adjacency slot (built per call, not kept)."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -102,8 +98,9 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
-        mask = self.indices > self.row_index
-        return np.column_stack([self.row_index[mask], self.indices[mask]])
+        rows = self.row_index
+        mask = self.indices > rows
+        return np.column_stack([rows[mask], self.indices[mask]])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -96,8 +96,7 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
 
     try:
         t0 = time.perf_counter()
-        packing = connector.connect_family(g, family, pars, seed,
-                                           max_sets=max_sets)
+        packing = connector.connect_family(g, family, pars, max_sets=max_sets)
         timings["connect"] = time.perf_counter() - t0
     except CdsPackError as exc:
         return fail("connect", exc)

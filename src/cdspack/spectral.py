@@ -58,7 +58,7 @@ class SpectralProfile:
             "lambda2": self.lambda2,
             "lambda_n": self.lambda_n,
             "lambda": self.lam,
-            "ratio": self.ratio,
+            "ratio": self.ratio if self.lam > 0 else None,  # JSON has no Infinity
             "tol": self.tol,
             "lambda2_residual": self.lambda2_residual,
             "lambda_n_residual": self.lambda_n_residual,

@@ -315,6 +315,29 @@ def test_criterion_7_end_to_end_targets():
             f"{len(packing.paths)} reservoir paths")
 
 
+def test_sparse_regime_stitches_every_set():
+    # `pack --n 20000 --d 16 --seed 3`: at n/d = 1250 every colour class
+    # falls apart into components, so each set is joined through the reservoir
+    start = time.time()
+    g = cp.random_regular(20000, 16, 3)
+    result = pipeline.run(g, cp.extremal_eigenvalues(g, tol=1e-3), 3, 0.3)
+    assert result.error is None, result.body["error"]
+    assert result.family.component_counts == [5, 2, 2]
+    packing = result.packing
+    assert packing.meta["failed_sets"] == []
+    assert len(packing.sets) == 3 and result.verification.failures == []
+    b = set(result.family.reservoir)
+    used = set()
+    for rec in packing.paths:
+        assert set(rec.internal) <= b and not used & set(rec.internal)
+        used.update(rec.internal)
+        assert rec.length <= rec.length_bound
+    assert len(packing.paths) == 6
+    _report(f"7 PASS: sparse regime (20000, 16) stitched 3/3 sets with "
+            f"{len(packing.paths)} paths, {len(used)} reservoir vertices "
+            f"({time.time() - start:.1f}s)")
+
+
 def _crafted_multi_component_packing():
     from cdspack.coloring import DominatingFamily
     from cdspack.params import PackingParams
@@ -334,7 +357,7 @@ def _crafted_multi_component_packing():
     pars = PackingParams(epsilon=0.4, d_star=1, r1=1, r2=1, p1=0.84, p2=1.0,
                          b_prob=0.16, m=1, D=8, s=55, mode="practice",
                          n=60, d=30, lambda_used=15.0)
-    packing = cp.connect_family(g, fam, pars, seed=2)
+    packing = cp.connect_family(g, fam, pars)
     assert cp.verify_packing(g, packing).failures == []
     for rec in packing.paths:
         assert all(v in set(groups[3]) for v in rec.internal)

@@ -162,7 +162,22 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
     (["verify", "--input", "g.txt", "--packing", "p.json", "--target", "-1"],
      "argument --target: must be at least 0"),
     (["pack", "--n", "abc", "--d", "12"], "argument --n: invalid int value: 'abc'"),
-], ids=["pack-max-sets", "pack-target", "verify-target", "pack-n-word"])
+    # a non-finite float would be echoed as NaN or Infinity, which is not JSON
+    (["pack", "--n", "600", "--d", "16", "--tol", "nan"],
+     "argument --tol: must be finite, got nan"),
+    (["pack", "--n", "600", "--d", "16", "--tol", "inf"],
+     "argument --tol: must be finite, got inf"),
+    (["spectrum", "--input", "g.txt", "--tol", "nan"],
+     "argument --tol: must be finite, got nan"),
+    (["spectrum", "--input", "g.txt", "--tol", "inf"],
+     "argument --tol: must be finite, got inf"),
+    (["pack", "--n", "600", "--d", "16", "--epsilon", "nan"],
+     "argument --epsilon: must be finite, got nan"),
+    (["gen", "--kind", "binomial", "--n", "100", "--p", "nan", "--out", "x.txt"],
+     "argument --p: must be finite, got nan"),
+], ids=["pack-max-sets", "pack-target", "verify-target", "pack-n-word",
+        "pack-tol-nan", "pack-tol-inf", "spectrum-tol-nan", "spectrum-tol-inf",
+        "pack-epsilon-nan", "gen-p-nan"])
 def test_negative_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -175,6 +190,19 @@ def test_help_prints_no_report(capsys):
         main(["pack", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cdspack pack")
+
+
+def test_edgeless_spectrum_report_is_strict_json(tmp_path, capsys):
+    gpath = tmp_path / "e.txt"
+    main(["gen", "--kind", "binomial", "--n", "10", "--p", "0", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main(["spectrum", "--input", str(gpath)]) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    prof = json.loads(capsys.readouterr().out, parse_constant=reject)["spectral"]
+    assert prof["lambda"] == 0.0 and prof["ratio"] is None
 
 
 def test_report_is_one_line_of_json(tmp_path, capsys):
@@ -221,15 +249,11 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
 @pytest.mark.parametrize("argv, code, phase", [
     (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
     (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "spectral"),
-    (["pack", "--n", "600", "--d", "16", "--tol", "nan"], "usage", "spectral"),
-    (["pack", "--n", "600", "--d", "16", "--tol", "inf"], "usage", "spectral"),
     (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
     (["pack", "--n", "600", "--d", "16", "--override-m", "-1"], "usage", "params"),
     (["pack", "--n", "600", "--d", "16", "--override-D", "2"], "usage", "params"),
     (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
-    (["spectrum", "--input", "{graph}", "--tol", "nan"], "usage", "spectral"),
-    (["spectrum", "--input", "{graph}", "--tol", "inf"], "usage", "spectral"),
     (["gen", "--kind", "petersen", "--out", "{tmp}/missing/x.txt"], "input",
      "generate"),
     (["spectrum", "--input", "{tmp}/word.txt"], "input", "load"),
@@ -238,10 +262,9 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
      "load"),
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
-], ids=["pack-odd-degree-sum", "pack-tol-0", "pack-tol-nan", "pack-tol-inf",
+], ids=["pack-odd-degree-sum", "pack-tol-0",
         "pack-epsilon-1.5", "pack-override-m-negative", "pack-override-D-2",
-        "spectrum-missing-input", "spectrum-tol-0", "spectrum-tol-nan",
-        "spectrum-tol-inf", "gen-missing-dir",
+        "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
         "verify-packing-string-ids"])
 def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):

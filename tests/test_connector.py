@@ -5,7 +5,6 @@ import pytest
 from cdspack import (Graph, choose_representatives, complete_graph,
                      connect_family, derive_params, random_regular,
                      verify_packing, build_family, stage_one, stage_two)
-from cdspack import connector
 from cdspack.coloring import DominatingFamily
 from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError
@@ -34,23 +33,25 @@ def crafted_params(**kw):
     return PackingParams(**base)
 
 
+def plain_components(g, vertices):
+    """Components of g[vertices] as Python sets, by a plain search."""
+    left, comps = set(vertices), []
+    while left:
+        comp = {left.pop()}
+        stack = list(comp)
+        while stack:
+            for w in g.neighbors(stack.pop()).tolist():
+                if w in left:
+                    left.remove(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 def lowest_per_component(g, members):
-    """Minimum of each component of g[members], by union-find over its edges."""
-    root = {v: v for v in members}
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for u in members:
-        for w in g.neighbors(u).tolist():
-            if w in root:
-                root[find(w)] = find(u)
-    lows = {}
-    for v in members:
-        lows[find(v)] = min(lows.get(find(v), v), v)
-    return sorted(lows.values())
+    """Minimum of each component of g[members], in ascending order."""
+    return sorted(min(comp) for comp in plain_components(g, members))
 
 
 def generated_family():
@@ -86,18 +87,19 @@ def test_padding_arithmetic_on_generated_instance():
 def test_generated_instance_stitches_each_component_once():
     g, fam, pars = generated_family()
     assert fam.component_counts == [1, 2]
-    packing = connect_family(g, fam, pars, seed=1)
+    packing = connect_family(g, fam, pars)
     assert packing.meta["family_indices"] == [0, 1]
     assert packing.meta["failed_sets"] == []
     assert [p.set_index for p in packing.paths] == [1]
     assert verify_packing(g, packing, target=2).failures == []
+    assert_paths_are_shortest(g, fam, packing)
 
 
 def test_one_path_per_missing_join_not_per_padded_representative():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 2, 10, 11]],
                            representatives=[[0, 10]])
-    packing = connect_family(g, fam, crafted_params(d=4), seed=1)
+    packing = connect_family(g, fam, crafted_params(d=4))
     assert len(packing.paths) == 1
     assert set(packing.paths[0].endpoints) == {0, 10}
 
@@ -106,7 +108,7 @@ def test_connect_two_components_single_path():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
                            representatives=[[0, 10]])
-    packing = connect_family(g, fam, crafted_params(), seed=7)
+    packing = connect_family(g, fam, crafted_params())
     assert len(packing.sets) == 1
     assert len(packing.paths) == 1
     rec = packing.paths[0]
@@ -133,43 +135,93 @@ def test_connect_three_components_two_paths():
     g = Graph(40, edges)
     fam = DominatingFamily(reservoir=groups[3], sets=[[0, 6, 12]],
                            representatives=[[0, 6, 12]])
-    packing = connect_family(g, fam, crafted_params(), seed=3)
+    packing = connect_family(g, fam, crafted_params())
     assert len(packing.paths) == 2
     internals = [v for p in packing.paths for v in p.internal]
     assert len(internals) == len(set(internals))  # single-use reservoir discipline
     assert verify_packing(g, packing).failures == []
 
 
-def test_failed_set_gives_back_its_paths(monkeypatch):
-    # A=0..9 and C=10..19 meet through reservoir R1=20..39; E=40..49 reaches
-    # only R2=50..59, so set {0, 10, 40} merges once, then finds no cross edge
-    groups = [list(range(10)), list(range(10, 20)), list(range(20, 40)),
-              list(range(40, 50)), list(range(50, 60))]
+def test_failed_set_gives_back_its_paths():
+    # cliques A=0..9 and C=10..19 meet only through the one reservoir vertex
+    # R1=20; clique E=21..30 reaches only the reservoir clique R2=31..40, and
+    # 22 in E touches 11 in C. Set 0 = {0, 10, 21} joins 0 and 10 through 20,
+    # then finds no free path out of {21} and fails; set 1 needs 20 to join 1
+    # to {11, 22}, so it connects only if set 0's path was given back
+    groups = [list(range(10)), list(range(10, 20)), list(range(21, 31)),
+              list(range(31, 41))]
     edges = [(u, v) for grp in groups for i, u in enumerate(grp) for v in grp[i + 1:]]
-    edges += [(v, r) for v in groups[0] + groups[1] for r in groups[2]]
-    edges += [(v, r) for v in groups[3] for r in groups[4]]
-    g = Graph(60, edges)
-    reservoir = groups[2] + groups[4]
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10, 40]],
-                           representatives=[[0, 10, 40]])
-    real = connector.connect_one
-    seen = []
+    edges += [(v, 20) for v in groups[0] + groups[1]]
+    edges += [(v, r) for v in groups[2] for r in groups[3]]
+    edges += [(11, 22)]
+    g = Graph(41, edges)
+    fam = DominatingFamily(reservoir=[20] + groups[3],
+                           sets=[[0, 10, 21], [1, 11, 22]],
+                           representatives=[[0, 10, 21], [1, 11]])
+    packing = connect_family(g, fam, crafted_params(n=41, d_star=2))
+    assert packing.meta["failed_sets"] == [0]
+    assert packing.meta["family_indices"] == [1]
+    assert packing.sets == [[1, 11, 20, 22]]
+    assert [p.internal for p in packing.paths] == [[20]]
 
-    def spy(forest, *args):
-        try:
-            return real(forest, *args)
-        finally:
-            seen.append((forest, {forest.to_global[v] for v in forest.adj}))
 
-    monkeypatch.setattr(connector, "connect_one", spy)
-    packing = connect_family(g, fam, crafted_params(n=60), seed=1)
-    assert packing.meta["failed_sets"] == [0] and packing.sets == []
-    [(forest, at_failure)] = seen
-    spent = at_failure - {0, 10, 40}
-    assert spent and spent <= set(groups[2])  # the first merge's path
-    assert {forest.to_global[v] for v in forest.adj} == {0, 10, 40}
-    assert {forest.to_global[v] for v in forest.protected} == {0, 10, 40}
-    assert all(nbrs == [] for nbrs in forest.adj.values())
+def reservoir_distance(g, source, target, passable):
+    """Fewest edges from `source` to `target` with interiors in `passable`."""
+    seen, frontier, dist = set(source), set(source), 0
+    while frontier:
+        dist += 1
+        near = {w for v in frontier for w in g.neighbors(v).tolist()}
+        if near & target:
+            return dist
+        frontier = (near & passable) - seen
+        seen |= frontier
+    return None
+
+
+def assert_paths_are_shortest(g, fam, packing):
+    """Replay the joins: each path is a shortest free-reservoir path between
+    the two classes it joins, its interior free until it is taken."""
+    free = set(fam.reservoir)
+    for out, i in enumerate(packing.meta["family_indices"]):
+        classes = plain_components(g, fam.sets[i])
+        for rec in (p for p in packing.paths if p.set_index == out):
+            a, b = rec.endpoints
+            src = next(c for c in classes if a in c)
+            dst = next(c for c in classes if b in c)
+            assert src is not dst and set(rec.internal) <= free
+            passable = free - set().union(*classes)
+            assert rec.length == reservoir_distance(g, src, dst, passable)
+            classes = [c for c in classes if c is not src and c is not dst]
+            classes.append(src | dst | set(rec.internal))
+        assert len(classes) == 1
+        free -= {v for p in packing.paths if p.set_index == out for v in p.internal}
+
+
+@pytest.mark.parametrize("graph_seed, seed", [(1, 3), (2, 2), (2, 3), (3, 1)])
+def test_each_path_is_a_shortest_reservoir_path(graph_seed, seed):
+    g = random_regular(400, 8, graph_seed)
+    pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice",
+                         overrides={"m": 2, "D": 8})
+    fam = build_family(g, stage_two(g, stage_one(g, pars, seed), pars, seed), pars)
+    assert max(fam.component_counts) > 1
+    packing = connect_family(g, fam, pars)
+    assert packing.meta["failed_sets"] == []
+    assert_paths_are_shortest(g, fam, packing)
+
+
+def test_second_merge_may_start_from_the_class_the_first_built():
+    # classes {0}, {1} and {2, 3, 4}; reservoir 5 joins 0 and 1, and only 5
+    # reaches reservoir 6, the way to 2. The joined class {0, 1, 5} ties
+    # with {2, 3, 4} on size and wins on its lowest vertex, so the second
+    # path starts at 5, the interior of the first
+    g = Graph(7, [(0, 5), (1, 5), (5, 6), (2, 6), (2, 3), (3, 4)])
+    fam = DominatingFamily(reservoir=[5, 6], sets=[[0, 1, 2, 3, 4]],
+                           representatives=[[0, 1, 2]])
+    packing = connect_family(g, fam, crafted_params(n=7))
+    assert [(p.endpoints, p.internal) for p in packing.paths] == [((0, 1), [5]),
+                                                                  ((5, 2), [6])]
+    assert packing.sets == [list(range(7))]
+    assert_paths_are_shortest(g, fam, packing)
 
 
 def test_connected_set_yields_zero_paths():
@@ -177,7 +229,7 @@ def test_connected_set_yields_zero_paths():
     # vertex 20 is adjacent to everything, so {0, 20} is a connected CDS
     fam = DominatingFamily(reservoir=list(range(21, 40)), sets=[[0, 20]],
                            representatives=[[0]])
-    packing = connect_family(g, fam, crafted_params(), seed=1)
+    packing = connect_family(g, fam, crafted_params())
     assert packing.sets == [[0, 20]]
     assert packing.paths == []
 
@@ -186,7 +238,7 @@ def test_max_sets_cap():
     g, reservoir = two_cliques_with_reservoir()
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10], [1, 11]],
                            representatives=[[0, 10], [1, 11]])
-    packing = connect_family(g, fam, crafted_params(d_star=2), seed=1, max_sets=1)
+    packing = connect_family(g, fam, crafted_params(d_star=2), max_sets=1)
     assert len(packing.sets) == 1
     assert {p.set_index for p in packing.paths} == {0}
 
@@ -196,7 +248,7 @@ def test_arity_guard():
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
                            representatives=[[0, 10]])
     with pytest.raises(CdsPackError, match="arity"):
-        connect_family(g, fam, crafted_params(D=4), seed=1)
+        connect_family(g, fam, crafted_params(D=4))
 
 
 def test_spanning_certificate_shape():
@@ -214,7 +266,7 @@ def test_pipeline_end_to_end_small():
     pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice",
                          overrides={"m": 2, "D": 8})
     fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
-    packing = connect_family(g, fam, pars, seed=1)
+    packing = connect_family(g, fam, pars)
     report = verify_packing(g, packing, target=1)
     assert report.failures == []
     assert report.target_met
@@ -230,6 +282,6 @@ def test_pipeline_deterministic():
     pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice",
                          overrides={"m": 2, "D": 8})
     fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
-    p1 = connect_family(g, fam, pars, seed=5)
-    p2 = connect_family(g, fam, pars, seed=5)
+    p1 = connect_family(g, fam, pars)
+    p2 = connect_family(g, fam, pars)
     assert p1.to_json() == p2.to_json()

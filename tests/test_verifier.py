@@ -334,7 +334,7 @@ def test_pipeline_consistent_with_oracle_on_tiny_graphs():
     a2 = cp.stage_two(g10, cp.stage_one(g10, pars, 2), pars, 2)
     fam = cp.build_family(g10, a2, pars)
     with pytest.raises(cp.errors.BudgetExceeded):
-        cp.connect_family(g10, fam, pars, 2)
+        cp.connect_family(g10, fam, pars)
 
     # smallest runnable instances: any packing the pipeline returns must not
     # exceed the exact maximum
@@ -343,6 +343,6 @@ def test_pipeline_consistent_with_oracle_on_tiny_graphs():
                                 overrides={"m": 1, "D": 3})
         a2 = cp.stage_two(g, cp.stage_one(g, pars, 2), pars, 2)
         fam = cp.build_family(g, a2, pars)
-        packing = cp.connect_family(g, fam, pars, 2)
+        packing = cp.connect_family(g, fam, pars)
         oracle, _ = brute_force_max_disjoint_cds(g)
         assert len(packing.sets) <= oracle
