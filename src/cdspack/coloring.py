@@ -1,18 +1,27 @@
-"""Two-stage seeded random coloring with bad-event resampling.
+"""Two-stage seeded random coloring with bad-event repair.
 
 Stage one assigns every vertex to the reservoir (probability b_prob), to one
 of r1 first-stage colors (probability p1 each), or leaves it uncolored (only
 possible through floating-point edge cases, since b_prob + r1*p1 = 1). Stage
 two refines each colored vertex with a uniform second-stage color in [r2].
-Both stages run a Moser-Tardos style loop: while some neighborhood count
-violates its threshold, re-randomize the labels the violated event depends
-on, always picking the lexicographically lowest violated event. A resample
-draws new labels for every vertex the event depends on, but moves counts
-only for the vertices whose label changed: for the others the decrement and
-increment would cancel. Violations are tracked incrementally: only the
-count entries of the changed vertices' neighbors are re-tested, and the next
-event is still the lowest violated one, exactly as a full rescan of the
-count matrix would pick it.
+Both stages loop while some neighborhood count violates its threshold,
+always fixing the lexicographically lowest violated event, and split by mode
+the same way:
+  theory   - Moser-Tardos resampling: redraw the labels of every vertex the
+             event depends on (all of N(v) in stage one, v's c-colored
+             neighbors in stage two). Counts move only for the vertices
+             whose label changed: for the others the decrement and
+             increment would cancel.
+  practice - minimum-collateral repair: move one neighbor w of v into the
+             short column (or, for a count above a finite upper bound, out
+             of the crowded one into v's emptiest column). w is the
+             candidate whose move drops the fewest count entries below
+             their bound, ties to the lowest id. At desk scale a resample
+             breaks about as many events as it fixes, so resampling may
+             never settle; a one-vertex repair does.
+Violations are tracked incrementally: only the count entries of the moved
+vertices' neighbors are re-tested, and the next event is still the lowest
+violated one, exactly as a full rescan of the count matrix would pick it.
 
 Thresholds by mode:
   theory   - stage one requires every count inside [(1-eps/2)E, (1+eps/2)E]
@@ -64,6 +73,8 @@ class ColorAssignment:
 
     c1[v] is RESERVOIR, UNCOLORED, or a first-stage color in [0, r1).
     c2[v] is -1 until stage two assigns a second-stage color in [0, r2).
+    `resamples` counts the resample or repair steps of this stage and the
+    ones before it.
     """
 
     c1: np.ndarray
@@ -131,10 +142,13 @@ def _stage_one_labels(cols: np.ndarray, r1: int) -> np.ndarray:
 
 def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
     """counts[v, c] = number of neighbors of v whose label is c (label -1 skipped)."""
-    lab = labels[g.indices]
-    valid = lab >= 0
-    flat = g.row_index[valid] * ncols + lab[valid]
-    return np.bincount(flat, minlength=g.n * ncols).reshape(g.n, ncols)
+    # key every adjacency slot by its row and label + 1: label -1 lands in a
+    # column of its own, dropped at the end, so no slot is masked out
+    flat = g.row_index * (ncols + 1)
+    flat += labels[g.indices]
+    flat += 1
+    counts = np.bincount(flat, minlength=g.n * (ncols + 1))
+    return np.ascontiguousarray(counts.reshape(g.n, ncols + 1)[:, 1:])
 
 
 def _relabel(g: Graph, counts: np.ndarray, labels: np.ndarray,
@@ -163,6 +177,47 @@ def _relabel(g: Graph, counts: np.ndarray, labels: np.ndarray,
     np.subtract.at(flat, dec, 1)
     np.add.at(flat, inc, 1)
     return np.concatenate((dec, inc))
+
+
+def _move(g: Graph, counts: np.ndarray, labels: np.ndarray, w: int,
+          new: int) -> np.ndarray:
+    """Give the one vertex `w` the count-matrix column `new` (>= 0).
+
+    w's neighbors are distinct, so each of its count entries changes once,
+    by plain fancy indexing. Returns the flat indices of the entries it
+    changed, as `_relabel` does.
+    """
+    old = int(labels[w])
+    labels[w] = new
+    slots = g.neighbors(w) * counts.shape[1]
+    flat = counts.reshape(-1)  # a view: counts is C-contiguous
+    inc = slots + new
+    flat[inc] += 1
+    if old < 0:  # uncolored: not counted
+        return inc
+    dec = slots + old
+    flat[dec] -= 1
+    return np.concatenate((dec, inc))
+
+
+def _least_collateral(g: Graph, counts: np.ndarray, labels: np.ndarray,
+                      cand: np.ndarray, limits: np.ndarray) -> int:
+    """The candidate whose move out of its column breaks the fewest entries.
+
+    Moving w out of column c decrements counts[u, c] for each neighbor u of
+    w; an entry counts as broken when it held at most `limits[c]`. Ties go
+    to the first candidate, and one that breaks nothing ends the search.
+    """
+    best_w, best_score = -1, None
+    for w in cand.tolist():
+        c = int(labels[w])
+        created = (np.count_nonzero(counts[g.neighbors(w), c] <= limits[c])
+                   if c >= 0 else 0)  # leaving "uncolored" changes no count
+        if best_score is None or created < best_score:
+            best_w, best_score = w, created
+            if created == 0:
+                break
+    return best_w
 
 
 class _BadEvents:
@@ -227,37 +282,62 @@ def stage_one_thresholds(params: PackingParams) -> tuple[np.ndarray, np.ndarray]
 def stage_one(g: Graph, params: PackingParams, seed: int,
               thresholds: tuple | None = None,
               max_resamples: int | None = None) -> ColorAssignment:
-    """Stage-one coloring: reservoir / first-stage colors, with resampling.
+    """Stage-one coloring: reservoir / first-stage colors, with repair.
 
-    Re-randomizes N(v) for the lowest violated (v, c) until every
-    neighborhood count sits inside its bounds.
+    Fixes the lowest violated (v, c) until every neighborhood count sits
+    inside its bounds: theory mode re-randomizes N(v), practice mode moves
+    one neighbor of v into or out of column c (see the module docstring).
+    `resamples` counts both kinds of step.
     """
     n = g.n
     r1 = params.r1
+    ncols = r1 + 1
     rng = rng_for(seed, _STAGE1_TAG)
     b_prob, p1 = params.b_prob, params.p1
     cols = _draw_columns(rng, n, b_prob, p1, r1)
     lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (r1 + 1,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (r1 + 1,))
-    counts = _neighbor_counts(g, cols, r1 + 1)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (ncols,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (ncols,))
+    # an integer count x falls below lo on a decrement iff x - 1 < lo,
+    # that is iff x <= ceil(lo)
+    limits = np.ceil(lo)
+    counts = _neighbor_counts(g, cols, ncols)
 
     def out_of_bounds(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        col = flat % (r1 + 1)
+        col = flat % ncols
         return (x < lo[col]) | (x > hi[col])
 
     events = _BadEvents(counts, out_of_bounds)
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
     while (idx := events.lowest()) is not None:
-        v = idx // (r1 + 1)
+        v, col = divmod(idx, ncols)
         resamples += 1
         if resamples > cap:
             raise ResampleBudgetExhausted(
                 f"stage one: {events.count()} bad events after {cap} resamples")
         w = g.neighbors(v)
-        events.update(_relabel(g, counts, cols, w,
-                               _draw_columns(rng, w.size, b_prob, p1, r1)))
+        if params.mode == "theory":
+            events.update(_relabel(g, counts, cols, w,
+                                   _draw_columns(rng, w.size, b_prob, p1, r1)))
+            continue
+        if counts[v, col] > hi[col]:
+            # move one neighbor out of the crowded column into v's emptiest
+            # other one
+            cand = w[cols[w] == col]
+            target = int(np.argmin(np.where(np.arange(ncols) == col, inf,
+                                            counts[v])))
+        else:
+            cand = w[cols[w] != col]
+            target = col
+        if cand.size == 0:
+            raise ResampleBudgetExhausted(
+                f"stage one: event (v={v}, column={col}) has no movable "
+                f"neighbor, {events.count()} bad events after "
+                f"{resamples - 1} repairs")
+        events.update(_move(g, counts, cols,
+                            _least_collateral(g, counts, cols, cand, limits),
+                            target))
     return ColorAssignment(c1=_stage_one_labels(cols, r1), c2=None, r1=r1,
                            r2=params.r2, resamples=resamples)
 
@@ -294,6 +374,8 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
     labels[c1 < 0] = -1
     counts = _neighbor_counts(g, labels, d_star)
     events = _BadEvents(counts, lambda x, flat: (x <= lo) | (x >= hi))
+    # bad iff count <= lo, so a decrement breaks every entry at most lo + 1
+    limits = np.full(d_star, lo + 1)
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
     while (idx := events.lowest()) is not None:
@@ -315,20 +397,21 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
                                    c * r2 + c2[members].astype(np.int64)))
         else:
             events.update(_repair_event(g, counts, labels, c2, members, c, cls,
-                                        r2, int(counts[v, cls]) >= hi, lo, v))
+                                        r2, int(counts[v, cls]) >= hi, limits, v))
     return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
                            resamples=stage1.resamples + resamples)
 
 
 def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
                   c2: np.ndarray, members: np.ndarray, c: int, cls: int,
-                  r2: int, overfull: bool, lo: float, v: int) -> np.ndarray:
+                  r2: int, overfull: bool, limits: np.ndarray,
+                  v: int) -> np.ndarray:
     """Flip one second-stage label to move counts[v, cls] toward its band.
 
     The flipped vertex is the candidate whose relabeling drops the fewest
     neighborhood counts to the lower threshold (ties to lowest id), so
     repairs rarely spawn new violations. Returns the flat indices of the
-    count entries the flip changed, as `_relabel` does.
+    count entries the flip changed, as `_move` does.
     """
     if overfull:
         cand = members[c2[members] == cls % r2]
@@ -340,17 +423,9 @@ def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
     if cand.size == 0:
         raise ResampleBudgetExhausted(
             f"stage two: event (v={v}, class={cls}) has no movable neighbor")
-    best_w, best_score = -1, None
-    for w in cand.tolist():
-        old_cls = c * r2 + int(c2[w])
-        created = int((counts[g.neighbors(w), old_cls] <= lo + 1).sum())
-        if best_score is None or created < best_score:
-            best_w, best_score = w, created
-            if created == 0:
-                break
-    c2[best_w] = target
-    return _relabel(g, counts, labels, np.asarray([best_w], dtype=np.int64),
-                    np.asarray([c * r2 + target], dtype=np.int64))
+    w = _least_collateral(g, counts, labels, cand, limits)
+    c2[w] = target
+    return _move(g, counts, labels, w, c * r2 + target)
 
 
 def build_family(g: Graph, stage2_out: ColorAssignment,

@@ -35,7 +35,7 @@ class InfeasibleParameters(CdsPackError):
 
 
 class ResampleBudgetExhausted(CdsPackError):
-    """A resampling stage hit its iteration cap without clearing all bad events."""
+    """A coloring stage hit its step cap, or found no move, before clearing all bad events."""
 
 
 class PostconditionViolation(CdsPackError):

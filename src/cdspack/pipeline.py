@@ -47,8 +47,8 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     """Derive params, color and connect one seed on `g`, verified once.
 
     Coloring retries with the next seed up to COLORING_RESTARTS times when
-    resampling runs out of budget. Sets that fail to connect are left out of
-    the packing rather than aborting the run.
+    a coloring stage runs out of budget. Sets that fail to connect are left
+    out of the packing rather than aborting the run.
     """
     result = PackResult(body={"seed": seed, "timings": {}})
     body = result.body

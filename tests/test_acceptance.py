@@ -316,11 +316,11 @@ def test_criterion_7_end_to_end_targets():
 
 
 def test_sparse_regime_stitches_every_set():
-    # `pack --n 20000 --d 16 --seed 3`: at n/d = 1250 every colour class
+    # `pack --n 20000 --d 16 --seed 6`: at n/d = 1250 every colour class
     # falls apart into components, so each set is joined through the reservoir
     start = time.time()
-    g = cp.random_regular(20000, 16, 3)
-    result = pipeline.run(g, cp.extremal_eigenvalues(g, tol=1e-3), 3, 0.3)
+    g = cp.random_regular(20000, 16, 6)
+    result = pipeline.run(g, cp.extremal_eigenvalues(g, tol=1e-3), 6, 0.3)
     assert result.error is None, result.body["error"]
     assert result.family.component_counts == [5, 2, 2]
     packing = result.packing

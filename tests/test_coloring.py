@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cdspack import (binomial_random, build_family, derive_params,
-                     random_regular, stage_one, stage_two)
+                     extremal_eigenvalues, lambda_with_margin, random_regular,
+                     stage_one, stage_two)
 from cdspack.coloring import (_STAGE1_TAG, _STAGE2_TAG, RESAMPLE_FACTOR,
                               RESERVOIR, UNCOLORED, ColorAssignment,
                               _neighbor_counts, stage_one_thresholds,
@@ -32,9 +33,10 @@ def theory_params(n, d):
 # tracked incrementally, rescanning the whole count matrix after every
 # resample, and before a resample moved only the counts of the labels it
 # changed. They use their own copies of the label draw, the label-to-column
-# map and the count shift (which moves every resampled vertex, changed or
-# not), so the module's loops are checked against independent code: they
-# must pick the same events in the same order and end with the same labels.
+# map, the count shift (which moves every resampled vertex, changed or not)
+# and the two practice-mode repairs, so the module's loops are checked
+# against independent code: they must pick the same events in the same order
+# and end with the same labels.
 
 def draw_stage1(rng, size, b_prob, p1, r1):
     u = rng.random(size)
@@ -91,7 +93,45 @@ def repair_event(g, counts, labels, c2, members, c, cls, r2, overfull, lo, v):
     shift_counts(g, counts, np.asarray([best_w]), old, labels[[best_w]])
 
 
-def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None):
+def repair_column(g, counts, c1, v, col, lo, hi, r1):
+    """Move one neighbor of v into (or, over hi, out of) column col.
+
+    Returns the branch taken, "over" or "under", or None when no neighbor
+    can move.
+    """
+    nbrs = g.neighbors(v).astype(np.int64)
+    cols = column_labels(c1[nbrs], r1)
+    if counts[v, col] > hi[col]:
+        branch = "over"
+        cand = nbrs[cols == col]
+        others = [c for c in range(r1 + 1) if c != col]
+        target = min(others, key=lambda c: (counts[v, c], c))
+    else:
+        branch = "under"
+        cand = nbrs[cols != col]
+        target = col
+    if cand.size == 0:
+        return None
+
+    def broken(w):
+        # entries of w's old column that its move leaves below their bound
+        old = int(column_labels(c1[[w]], r1)[0])
+        if old < 0:
+            return 0
+        return sum(1 for u in g.neighbors(w).tolist()
+                   if counts[u, old] - 1 < lo[old])
+
+    w = min(cand.tolist(), key=lambda w: (broken(w), w))
+    old = column_labels(c1[[w]], r1)
+    c1[w] = RESERVOIR if target == r1 else target
+    shift_counts(g, counts, np.asarray([w]), old, np.asarray([target]))
+    return branch
+
+
+def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None,
+                        branches=None):
+    """Theory mode resamples N(v), practice mode repairs one neighbor; the
+    branch of every practice repair is appended to `branches` if given."""
     n, r1 = g.n, params.r1
     rng = rng_for(seed, _STAGE1_TAG)
     c1 = draw_stage1(rng, n, params.b_prob, params.p1, r1)
@@ -106,11 +146,21 @@ def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None):
         flat = np.flatnonzero(bad.ravel())
         if flat.size == 0:
             break
-        v = int(flat[0]) // (r1 + 1)
+        v, col = divmod(int(flat[0]), r1 + 1)
         resamples += 1
         if resamples > cap:
             raise ResampleBudgetExhausted(
                 f"stage one: {flat.size} bad events after {cap} resamples")
+        if params.mode == "practice":
+            branch = repair_column(g, counts, c1, v, col, lo, hi, r1)
+            if branch is None:
+                raise ResampleBudgetExhausted(
+                    f"stage one: event (v={v}, column={col}) has no movable "
+                    f"neighbor, {flat.size} bad events after "
+                    f"{resamples - 1} repairs")
+            if branches is not None:
+                branches.append(branch)
+            continue
         w = g.neighbors(v).astype(np.int64)
         old_cols = column_labels(c1[w], r1)
         c1[w] = draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
@@ -182,6 +232,24 @@ def bad_event_count(exc_info) -> int:
     found = re.search(r"(\d+) bad events after", str(exc_info.value))
     assert found, str(exc_info.value)
     return int(found.group(1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_neighbor_counts_match_per_vertex_count(seed):
+    # uneven degrees, isolated vertices and uncolored (-1) labels
+    g = binomial_random(300, 0.01, seed)
+    assert (g.degrees == 0).any()
+    rng = np.random.default_rng(seed)
+    for ncols in (1, 3, 8):
+        labels = rng.integers(-1, ncols, g.n)
+        counts = _neighbor_counts(g, labels, ncols)
+        assert counts.shape == (g.n, ncols) and counts.flags.c_contiguous
+        for v in range(g.n):
+            row = [0] * ncols
+            for w in g.neighbors(v).tolist():
+                if labels[w] >= 0:
+                    row[labels[w]] += 1
+            assert counts[v].tolist() == row
 
 
 @pytest.mark.parametrize("n,d", [(3000, 16), (1500, 32)])
@@ -285,6 +353,79 @@ def test_stage_one_impossible_thresholds_exhaust():
     # every vertex violates every column, whatever the labels
     assert bad_event_count(got) == bad_event_count(want) == 60 * (pars.r1 + 1)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_practice_over_bound_matches_full_rescan(seed):
+    g = random_regular(400, 24, seed)
+    pars = practice_params(400, 24)
+    assert pars.r1 == 1
+    # finite upper bounds in practice mode, around E = 20.16 colored and
+    # 3.84 reservoir neighbors: the first draw leaves counts on both sides,
+    # so repairs move neighbors out of a column as well as into one
+    th1 = (np.array([18.0, 1.0]), np.array([23.0, 7.0]))
+    branches = []
+    reference_stage_one(g, pars, seed, thresholds=th1, branches=branches)
+    assert {"over", "under"} <= set(branches)
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1)
+    counts = _neighbor_counts(g, column_labels(a1.c1, pars.r1), pars.r1 + 1)
+    assert ((counts >= th1[0]) & (counts <= th1[1])).all()
+    assert a1.resamples == len(branches)
+
+
+def test_practice_stage_one_no_movable_neighbor():
+    g = random_regular(60, 4, 1)
+    pars = practice_params(60, 4)
+    # five reservoir neighbors out of four: vertex 0's repairs move its
+    # neighbors into the reservoir until none is left to move
+    th = (np.array([0.0] * pars.r1 + [5.0]), np.full(pars.r1 + 1, np.inf))
+    with pytest.raises(ResampleBudgetExhausted) as got:
+        stage_one(g, pars, 1, thresholds=th)
+    with pytest.raises(ResampleBudgetExhausted) as want:
+        reference_stage_one(g, pars, 1, thresholds=th)
+    assert f"event (v=0, column={pars.r1}) has no movable neighbor" in str(got.value)
+    assert bad_event_count(got) == 60
+    assert str(got.value) == str(want.value)
+
+
+def test_practice_stage_one_exhausts_on_crossed_bounds():
+    g = random_regular(400, 24, 1)
+    pars = practice_params(400, 24)
+    # at least five reservoir neighbors and at most four: every repair of
+    # the lowest event undoes the last one, so only the cap ends the loop
+    th = (np.array([0.0, 5.0]), np.array([np.inf, 4.0]))
+    with pytest.raises(ResampleBudgetExhausted) as got:
+        stage_one(g, pars, 1, thresholds=th, max_resamples=200)
+    with pytest.raises(ResampleBudgetExhausted) as want:
+        reference_stage_one(g, pars, 1, thresholds=th, max_resamples=200)
+    assert "after 200 resamples" in str(got.value)
+    assert bad_event_count(got) == 400
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_practice_stage_one_converges_in_sparse_regime(seed):
+    # at d = 8 the reservoir bound asks for a count that a fifth of the
+    # vertices miss, and resampling all of N(v) broke about as many events
+    # as it fixed: these runs spent their whole 100 * n budget and failed.
+    # One-vertex repairs settle in fewer steps than there are vertices.
+    g = random_regular(3000, 8, seed)
+    pars = practice_params(3000, 8)
+    out = stage_one(g, pars, seed, max_resamples=g.n - 1)
+    counts = _neighbor_counts(g, column_labels(out.c1, pars.r1), pars.r1 + 1)
+    assert (counts >= stage_one_thresholds(pars)[0]).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pack_params_stage_one_converges_at_degree_eight(seed):
+    # pack's own parameters (epsilon 0.3, measured lambda): resampling took
+    # 1155, 12470 and 3730 steps for these seeds
+    g = random_regular(600, 8, 1)
+    lam = lambda_with_margin(extremal_eigenvalues(g, tol=1e-3))
+    pars = derive_params(600, 8, lam, 0.3, "practice")
+    out = stage_one(g, pars, seed, max_resamples=g.n - 1)
+    counts = _neighbor_counts(g, column_labels(out.c1, pars.r1), pars.r1 + 1)
+    assert (counts >= stage_one_thresholds(pars)[0]).all()
 
 
 @pytest.mark.parametrize("mode", ["practice", "theory"])

@@ -86,11 +86,11 @@ def test_padding_arithmetic_on_generated_instance():
 
 def test_generated_instance_stitches_each_component_once():
     g, fam, pars = generated_family()
-    assert fam.component_counts == [1, 2]
+    assert fam.component_counts == [3, 3]
     packing = connect_family(g, fam, pars)
     assert packing.meta["family_indices"] == [0, 1]
     assert packing.meta["failed_sets"] == []
-    assert [p.set_index for p in packing.paths] == [1]
+    assert [p.set_index for p in packing.paths] == [0, 0, 1, 1]
     assert verify_packing(g, packing, target=2).failures == []
     assert_paths_are_shortest(g, fam, packing)
 
