@@ -4,9 +4,6 @@ from .coloring import (ColorAssignment, DominatingFamily, build_family,
                        stage_one, stage_two)
 from .connector import (CdsPacking, PathRecord, choose_representatives,
                         connect_family, connect_one)
-from .extendable import (EmbeddedTree, ExtendableForest, TreeSpec, add_edge,
-                         attach_tree, is_extendable_exact, new_forest,
-                         remove_leaf, rollback)
 from .generators import (GenSpec, binomial_random, complete_graph, cycle_graph,
                          generate, glued_cliques, petersen_graph, random_regular)
 from .graph import (Graph, components_of, edge_count_between,
@@ -14,7 +11,7 @@ from .graph import (Graph, components_of, edge_count_between,
                     vertex_set)
 from .params import PackingParams, derive_params
 from .spectral import (ExpansionReport, SpectralProfile, expansion_check,
-                       extremal_eigenvalues, lambda_with_margin, mixing_slack)
+                       extremal_eigenvalues, lambda_with_margin)
 from .verifier import (VerificationReport, brute_force_max_disjoint_cds,
                        brute_force_min_cds, is_dominating, verify_packing)
 

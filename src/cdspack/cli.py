@@ -18,10 +18,10 @@ import time
 
 from . import connector, generators, pipeline, spectral, verifier
 from .errors import (BudgetExceeded, CdsPackError, EigenConvergenceError,
-                     EmbeddingFailed, GenerationError, GraphFormatError,
-                     InfeasibleParameters, NoCrossEdge, NonRegularGraph,
-                     PackingFormatError, PostconditionViolation,
-                     ResampleBudgetExhausted, VerificationFailed, error_body)
+                     GenerationError, GraphFormatError, InfeasibleParameters,
+                     NoCrossEdge, NonRegularGraph, PackingFormatError,
+                     PostconditionViolation, ResampleBudgetExhausted,
+                     VerificationFailed, error_body)
 from .graph import load_graph, save_graph
 
 EXIT_CODES = {
@@ -32,7 +32,7 @@ EXIT_CODES = {
     "infeasible": 4,       # InfeasibleParameters
     "resample": 5,         # ResampleBudgetExhausted
     "postcondition": 6,    # PostconditionViolation
-    "connect": 7,          # EmbeddingFailed / NoCrossEdge / BudgetExceeded
+    "connect": 7,          # NoCrossEdge / BudgetExceeded
     "verification": 8,     # VerificationFailed or target unmet
     "spectral": 9,         # NonRegularGraph / EigenConvergenceError
 }
@@ -43,7 +43,7 @@ _ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
     InfeasibleParameters: "infeasible",
     ResampleBudgetExhausted: "resample",
     PostconditionViolation: "postcondition",
-    (EmbeddingFailed, NoCrossEdge, BudgetExceeded): "connect",
+    (NoCrossEdge, BudgetExceeded): "connect",
     VerificationFailed: "verification",
     (NonRegularGraph, EigenConvergenceError): "spectral",
     ValueError: "usage",  # an invalid numeric argument
@@ -156,11 +156,8 @@ def run_pack(args) -> int:
         code = _code_for(exc)
         packing = None
     else:
-        overrides = {"m": args.override_m, "D": args.override_d}
-        overrides = {k: v for k, v in overrides.items() if v is not None}
         results = [pipeline.run(g, profile, s, args.epsilon, mode=args.mode,
-                                overrides=overrides, max_sets=args.max_sets,
-                                target=args.target)
+                                max_sets=args.max_sets, target=args.target)
                    for s in seeds]
         # max keeps the first of equals, so ties go to the lowest seed
         best = max((r for r in results if r.packing is not None),
@@ -194,7 +191,6 @@ def _config_echo(args) -> dict:
         "input": args.input, "n": args.n, "d": args.d,
         "epsilon": args.epsilon, "mode": args.mode, "seed": args.seed,
         "target": args.target, "max_sets": args.max_sets,
-        "override_m": args.override_m, "override_d": args.override_d,
         "trials": args.trials, "tol": args.tol,
     }
 
@@ -281,8 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", type=_int_at_least(0), default=1)
     p.add_argument("--max-sets", type=_int_at_least(0), dest="max_sets")
-    p.add_argument("--override-m", type=int, dest="override_m")
-    p.add_argument("--override-D", "--override-d", type=int, dest="override_d")
     p.add_argument("--trials", type=_int_at_least(1), default=1)
     # lambda is consumed as 1.05 * lambda (spectral.SAFETY_MARGIN); at 1e-3
     # the Lanczos error stays far inside that margin (see spectral's docstring)

@@ -12,6 +12,11 @@ thus gets k - 1 paths, each with its interior in the reservoir.
 The free-reservoir mask is shared across sets. A connected set's path
 interiors leave it for good, so each reservoir vertex is used by at most one
 path across the whole run; a set that cannot be joined takes none of them.
+
+Theory mode also holds the paths to the bounds the paper's proof gives them:
+at most s representatives in all, each path no longer than
+2 ln(n/k)/ln(D/2 - 1) + 1 when k classes are left, and at most s/2 path
+vertices in all. Practice mode has no m, D or s, and checks none of these.
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ from .coloring import DominatingFamily
 from .errors import (BudgetExceeded, CdsPackError, NoCrossEdge, PackingFormatError,
                      VerificationFailed)
 # unused here, but perfbench/trace_pack.py wraps these connector attributes
-from .extendable import add_edge, attach_tree, rollback  # noqa: F401
 from .graph import components_of, induced_subgraph  # noqa: F401
 from .graph import Graph, concat_neighbors, label_components
 from .params import PackingParams
 from .spectral import expansion_check
 from .verifier import VerificationReport, verify_packing
+
+# perfbench/trace_pack.py wraps these names of the former tree forest; never called
+attach_tree = rollback = add_edge = None
 
 
 @dataclass
@@ -41,7 +48,6 @@ class PathRecord:
     internal: list[int]
     set_index: int
     length: int
-    length_bound: float
 
     def to_json(self) -> dict:
         return {
@@ -90,7 +96,6 @@ class CdsPacking:
                 internal=internal,
                 set_index=_ints([p.get("set")], "a path's set index")[0],
                 length=len(internal) + 1,
-                length_bound=float("nan"),
             ))
         return cls(params=data.get("params"), sets=sets, certificates=certs,
                    paths=paths)
@@ -155,14 +160,15 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
 
     `free` marks the reservoir vertices that no earlier set's path uses; it
     is only read. Each round joins the smallest class to its nearest one, so
-    there is one class fewer per round; each round's length bound is recorded
-    and enforced in theory mode. Raises NoCrossEdge when a class can reach no
-    other.
+    there is one class fewer per round. In theory mode each path must meet
+    the length bound for the classes left. Raises NoCrossEdge when a class
+    can reach no other.
     """
-    arity = params.D // 2 - 1
-    if arity < 2:
-        raise CdsPackError(f"D = {params.D} gives tree arity {arity} < 2; "
-                           f"override D to at least 6")
+    theory = params.mode == "theory"
+    if theory:
+        arity = params.D // 2 - 1
+        if arity < 2:
+            raise CdsPackError(f"D = {params.D} gives tree arity {arity} < 2")
     lab = label_components(g, [members])
     order = np.argsort(lab.root, kind="stable")
     roots, vertices = lab.root[order], lab.vertex[order]
@@ -173,7 +179,8 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
         cls[vs] = c
     records: list[PathRecord] = []
     while len(classes) > 1:
-        k = len(classes)
+        if theory:
+            bound = 2 * log(params.n / len(classes)) / log(arity) + 1
         c = min(classes, key=lambda c: (classes[c].size, classes[c][0]))
         path = _shortest_join(g, classes[c], cls, free)
         if path is None:
@@ -185,9 +192,8 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
             [classes.pop(c), np.array(internal, dtype=np.int64), classes.pop(other)]))
         cls[joined] = c
         classes[c] = joined
-        bound = 2 * log(params.n / k) / log(arity) + 1
         length = len(internal) + 1
-        if params.mode == "theory" and length > bound:
+        if theory and length > bound:
             raise CdsPackError(
                 f"path length {length} exceeds bound {bound:.3f} in theory mode")
         records.append(PathRecord(
@@ -195,7 +201,6 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
             internal=internal,
             set_index=set_index,
             length=length,
-            length_bound=bound,
         ))
     return records
 
@@ -247,7 +252,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     count = len(reps) if max_sets is None else min(len(reps), max_sets)
     chosen = list(range(count))
     x_union = sorted({v for i in chosen for v in reps[i]})
-    if len(x_union) > params.s:
+    if params.mode == "theory" and len(x_union) > params.s:
         raise BudgetExceeded(
             f"{len(x_union)} representatives exceed budget s = {params.s}")
     certified = bool(chosen) and _certify_expansion(g, family, params, x_union)

@@ -52,16 +52,12 @@ class PostconditionViolation(CdsPackError):
         super().__init__(msg)
 
 
-class EmbeddingFailed(CdsPackError):
-    """Tree embedding hit its retry cap without finding a valid placement."""
-
-
 class BudgetExceeded(CdsPackError):
-    """A vertex budget is exceeded: the forest's, or the connector's s and s/2."""
+    """Theory mode's connector exceeds its budget: s representatives or s/2 path vertices."""
 
 
 class NoCrossEdge(CdsPackError):
-    """No edge was found between the two tree collections after all retries."""
+    """A class of a set reaches no other class through free reservoir vertices."""
 
 
 class VerificationFailed(CdsPackError):

@@ -1,14 +1,13 @@
 """Derivation of every constant the packing pipeline consumes.
 
-Theory mode applies the asymptotic formulas verbatim and rejects any input
-where a feasibility constraint fails; those constants are only attainable
-for astronomically dense graphs. Practice mode keeps the same shapes but
-picks a desk-scale color-grid split, honors explicit m/D overrides, replaces
-a derived D < 6 by 8 and a derived m that leaves s <= n/2 by 2 (each with a
-warning naming the derived value), and downgrades feasibility failures to
-warnings (except s <= 0, which always errors because the forest budget
-would be empty). An override of m below 1 or of D below 3 is a ValueError
-in either mode: no forest can be built from it.
+Theory mode applies the asymptotic formulas verbatim, including the
+joinedness scale m, the extendability degree D and the forest budget
+s = n - 2Dm - 3m under which the paper's connector is proved, and rejects
+any input where a feasibility constraint fails; those constants are only
+attainable for astronomically dense graphs. Practice mode keeps the same
+colour-grid shape with a desk-scale split and downgrades feasibility
+failures to warnings. Its connector joins classes by shortest reservoir
+paths, which need no m, D or s, so practice mode leaves them None.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ class PackingParams:
     p1: float            # per-color probability, stage one
     p2: float            # per-color probability, stage two
     b_prob: float        # reservoir probability epsilon^2
-    m: int               # joinedness scale
-    D: int               # extendability degree
-    s: int               # forest vertex budget, n - 2Dm - 3m
     mode: str            # "theory" | "practice"
-    overrides: dict = field(default_factory=dict)
+    m: int | None = None  # joinedness scale, theory mode only
+    D: int | None = None  # extendability degree, theory mode only
+    s: int | None = None  # forest vertex budget n - 2Dm - 3m, theory mode only
     n: int = 0
     d: int = 0
     lambda_used: float = 0.0
@@ -52,7 +50,6 @@ class PackingParams:
             "D": self.D,
             "s": self.s,
             "mode": self.mode,
-            "overrides": dict(self.overrides),
             "n": self.n,
             "d": self.d,
             "lambda_used": self.lambda_used,
@@ -62,7 +59,7 @@ class PackingParams:
 
 
 def derive_params(n: int, d: int, lam: float, epsilon: float,
-                  mode: str = "theory", overrides: dict | None = None) -> PackingParams:
+                  mode: str = "theory") -> PackingParams:
     """Derive all pipeline constants from (n, d, lambda, epsilon).
 
     Rounding always undershoots the target set count: r2 rounds to nearest,
@@ -76,12 +73,6 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
         raise ValueError("lambda must be positive")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    overrides = dict(overrides or {})
-    # extendable.new_forest needs m >= 1 and D >= 3, in either mode
-    for key, least in (("m", 1), ("D", 3)):
-        if key in overrides and int(overrides[key]) < least:
-            raise ValueError(f"override {key} = {overrides[key]} < {least}")
-    warnings: list[str] = []
 
     lg = log(d)
     d_star_target = floor((1 - epsilon) * d / lg)
@@ -97,41 +88,26 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
     p2 = 1.0 / r2
     b_prob = epsilon ** 2
 
-    m = ceil(lam * n / d) + 1
-    D = floor(epsilon ** 4 * d / (36 * lam))
-    if mode == "practice":
-        if "D" in overrides:
-            D = int(overrides["D"])
-            warnings.append(f"D overridden to {D}")
-        elif D < 6:  # the tree arity D // 2 - 1 needs D >= 6
-            warnings.append(f"D defaulted to 8 (derived D = {D} < 6)")
-            D = 8
-        if "m" in overrides:
-            m = int(overrides["m"])
-            warnings.append(f"m overridden to {m}")
-        elif n - m * (2 * D + 3) <= n // 2:
-            warnings.append(f"m defaulted to 2 (derived m = {m} leaves s <= n/2)")
-            m = 2
-    s = n - 2 * D * m - 3 * m
-
+    m = D = s = None
     problems: list[str] = []
-    if D < 3:
-        problems.append(f"D = {D} < 3")
+    if mode == "theory":
+        m = ceil(lam * n / d) + 1
+        D = floor(epsilon ** 4 * d / (36 * lam))
+        s = n - 2 * D * m - 3 * m
+        if s <= 0:
+            raise InfeasibleParameters(f"s = {s} <= 0 (n={n}, m={m}, D={D})")
+        if D < 3:
+            problems.append(f"D = {D} < 3")
     if p1 > 1:
         problems.append(f"p1 = {p1:.6g} > 1")
     if d_star < 1:
         problems.append(f"d_star = {d_star} < 1")
-    if s <= 0:
-        # an empty forest budget is fatal in either mode
-        raise InfeasibleParameters(f"s = {s} <= 0 (n={n}, m={m}, D={D})")
-    if problems:
-        if mode == "theory":
-            raise InfeasibleParameters("; ".join(problems))
-        warnings.extend(f"feasibility: {p}" for p in problems)
+    if problems and mode == "theory":
+        raise InfeasibleParameters("; ".join(problems))
 
     return PackingParams(
         epsilon=epsilon, d_star=d_star, r1=r1, r2=r2, p1=p1, p2=p2,
-        b_prob=b_prob, m=m, D=D, s=s, mode=mode, overrides=overrides,
+        b_prob=b_prob, m=m, D=D, s=s, mode=mode,
         n=n, d=d, lambda_used=lam, d_star_target=d_star_target,
-        warnings=warnings,
+        warnings=[f"feasibility: {p}" for p in problems],
     )

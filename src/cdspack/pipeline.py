@@ -42,8 +42,8 @@ class PackResult:
 
 
 def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
-        mode: str = "practice", overrides: dict | None = None,
-        max_sets: int | None = None, target: int | None = None) -> PackResult:
+        mode: str = "practice", max_sets: int | None = None,
+        target: int | None = None) -> PackResult:
     """Derive params, color and connect one seed on `g`, verified once.
 
     Coloring retries with the next seed up to COLORING_RESTARTS times when
@@ -62,7 +62,7 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
     try:
         lam = spectral.lambda_with_margin(profile)
         pars = params.derive_params(g.n, g.regular_degree(), lam, epsilon,
-                                    mode=mode, overrides=overrides)
+                                    mode=mode)
     except (CdsPackError, ValueError) as exc:
         return fail("params", exc)
     result.params = pars

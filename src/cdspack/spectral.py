@@ -27,14 +27,13 @@ interior eigenvalue has a small residual too, so the margin stays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenConvergenceError, NonRegularGraph
-from .graph import Graph, _as_array, edge_count_between, gamma_restricted
+from .graph import Graph, _as_array, gamma_restricted
 from .rand import rng_for
 
 DENSE_LIMIT = 512
@@ -148,22 +147,6 @@ def lambda_with_margin(profile: SpectralProfile) -> float:
     if profile.method == "iterative":
         return profile.lam * SAFETY_MARGIN
     return profile.lam
-
-
-def mixing_slack(g: Graph, lam: float, a, b) -> float:
-    """lam*sqrt(|a||b|) - |e(a,b) - |a||b|d/n|.
-
-    Nonnegative (up to rounding) whenever lam is a true upper bound on the
-    graph's second eigenvalue magnitude.
-    """
-    d = _require_regular(g)
-    a_arr = _as_array(g, a)
-    b_arr = _as_array(g, b)
-    if a_arr.size == 0 or b_arr.size == 0:
-        return 0.0
-    e_ab = edge_count_between(g, a_arr, b_arr)
-    expected = a_arr.size * b_arr.size * d / g.n
-    return lam * sqrt(a_arr.size * b_arr.size) - abs(e_ab - expected)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The end-to-end targets are
 engineering-scale checks on seeded instances, not asymptotic claims.
+Criterion 6 checked the tree-embedding forest's extendability oracle; it
+left with the forest, which no phase used once the connector joined classes
+by reservoir paths.
 """
 
 import itertools
@@ -18,6 +21,8 @@ from cdspack import pipeline
 from cdspack.cli import main as cli_main
 from cdspack.rand import rng_for
 from cdspack.spectral import _dense_extremal, _iterative_extremal
+from test_connector import path_bound
+from test_spectral import mixing_slack
 
 
 def _report(line):
@@ -150,7 +155,7 @@ def test_criterion_4_mixing_never_violated():
         kb = int(rng.integers(1, 500))
         a = perm[:ka]
         b = perm[ka:ka + kb]
-        slack = cp.mixing_slack(g, lam, a, b)
+        slack = mixing_slack(g, lam, a, b)
         if slack < -1e-9 * math.sqrt(ka * kb):
             violations += 1
     elapsed = time.time() - start
@@ -166,8 +171,7 @@ def test_criterion_5_family_postconditions_at_scale():
         start = time.time()
         g = cp.random_regular(20000, 256, seed)
         lam_est = 2 * math.sqrt(255) * 1.05
-        pars = cp.derive_params(20000, 256, lam_est, 0.3, "practice",
-                                overrides={"m": 2, "D": 8})
+        pars = cp.derive_params(20000, 256, lam_est, 0.3, "practice")
         a1 = cp.stage_one(g, pars, seed)
         a2 = cp.stage_two(g, a1, pars, seed)
         fam = cp.build_family(g, a2, pars)  # raises on any violated bullet
@@ -186,91 +190,6 @@ def test_criterion_5_family_postconditions_at_scale():
                 f"({elapsed:.1f}s)")
 
 
-# -- 6: extendability oracle consistency --------------------------------------
-
-def _oracle_check(forest, label):
-    ok, witness = cp.is_extendable_exact(forest, 4)
-    assert ok, f"{label}: extendability violated at U={witness}"
-
-
-def _scenario_attach(host, x, tree_sizes, seed, scenario):
-    forest = cp.new_forest(host, x, 1, 6, host.n)
-    _oracle_check(forest, f"{scenario} seed")
-    trees = []
-    for j, (root, size) in enumerate(zip(x, tree_sizes)):
-        before = forest.snapshot()
-        tree = cp.attach_tree(forest, root, cp.TreeSpec(arity=2, size=size),
-                              seed=seed + j)
-        _oracle_check(forest, f"{scenario} attach {j}")
-        cp.rollback(forest, tree.added)
-        assert forest.snapshot() == before, f"{scenario}: rollback not identity"
-        _oracle_check(forest, f"{scenario} rollback {j}")
-        tree = cp.attach_tree(forest, root, cp.TreeSpec(arity=2, size=size),
-                              seed=seed + j)
-        trees.append(tree)
-    # merge the two trees with a host edge and roll back the rest
-    ta, tb = trees
-    edge = None
-    for u in ta.vertices:
-        for v in tb.vertices:
-            if host.has_edge(u, v):
-                edge = (u, v)
-                break
-        if edge:
-            break
-    assert edge is not None
-    cp.add_edge(forest, *edge)
-    _oracle_check(forest, f"{scenario} add_edge")
-    chain = list(reversed(ta.path_to_root(edge[0]))) + tb.path_to_root(edge[1])
-    keep = set(chain)
-    cp.rollback(forest, [w for t in trees for w in t.added if w not in keep])
-    _oracle_check(forest, f"{scenario} path rollback")
-
-
-def _scenario_edges(host, x, seed, scenario):
-    forest = cp.new_forest(host, x, 2, 4, host.n)
-    _oracle_check(forest, f"{scenario} seed")
-    merged = 0
-    for u, v in itertools.combinations(x, 2):
-        if merged >= len(x) - 1:
-            break
-        if host.has_edge(u, v):
-            try:
-                cp.add_edge(forest, u, v)
-            except ValueError:
-                continue  # already same component
-            merged += 1
-            _oracle_check(forest, f"{scenario} edge {u}-{v}")
-
-
-def test_criterion_6_extendability_scenarios():
-    start = time.time()
-    k24 = cp.complete_graph(24)
-    count = 0
-    for i in range(20):  # complete hosts, m=1, attach/rollback/add/remove
-        rng = rng_for(600 + i)
-        a, b = sorted(rng.choice(24, size=2, replace=False).tolist())
-        sizes = rng.integers(3, 6, size=2).tolist()
-        _scenario_attach(k24, [a, b], sizes, seed=i, scenario=f"K24/{i}")
-        count += 1
-    for i in range(20):  # dense random hosts, m=1
-        rng = rng_for(700 + i)
-        host = cp.random_regular(24, 18, seed=i)
-        a, b = sorted(rng.choice(24, size=2, replace=False).tolist())
-        _scenario_attach(host, [a, b], [3, 3], seed=i, scenario=f"R24/{i}")
-        count += 1
-    for i in range(10):  # m=2 path-building via add_edge only
-        rng = rng_for(800 + i)
-        x = sorted(rng.choice(24, size=3, replace=False).tolist())
-        _scenario_edges(k24, x, seed=i, scenario=f"E24/{i}")
-        count += 1
-    elapsed = time.time() - start
-    assert count == 50
-    assert elapsed < 60
-    _report(f"6 PASS: 50 scripted scenarios, oracle green after every step "
-            f"({elapsed:.1f}s)")
-
-
 # -- 7: end-to-end engineering target (not an asymptotic claim) ---------------
 
 def _pack_run(n, d, seed):
@@ -278,25 +197,21 @@ def _pack_run(n, d, seed):
     prof = cp.extremal_eigenvalues(g, tol=1e-6)
     result = pipeline.run(g, prof, seed, 0.3)
     assert result.error is None, result.body["error"]
-    assert (result.params.m, result.params.D) == (2, 8)  # the practice defaults
-    return result.packing, result.family, result.params, result.verification
+    return result.packing, result.family, result.verification
 
 
 def test_criterion_7_end_to_end_targets():
     for n, d in ((5000, 64), (10000, 128)):
         target = 0.25 * d / math.log(d)
-        bound_cache = {}
+        bound = path_bound(n, 1)  # 2 ln n / ln 3 + 1, above every path's own
         successes = 0
         for seed in (1, 2, 3, 4, 5):
             start = time.time()
-            packing, fam, pars, report = _pack_run(n, d, seed)
+            packing, fam, report = _pack_run(n, d, seed)
             elapsed = time.time() - start
             assert elapsed < 900
             if report.failures or len(packing.sets) < target:
                 continue
-            arity = pars.D // 2 - 1
-            bound = bound_cache.setdefault(
-                (n, d), 2 * math.log(n) / math.log(arity) + 1)
             b = set(fam.reservoir)
             used = set()
             for rec in packing.paths:
@@ -331,7 +246,7 @@ def test_sparse_regime_stitches_every_set():
     for rec in packing.paths:
         assert set(rec.internal) <= b and not used & set(rec.internal)
         used.update(rec.internal)
-        assert rec.length <= rec.length_bound
+    assert_paths_within_bound(g.n, packing, result.family.component_counts)
     assert len(packing.paths) == 6
     _report(f"7 PASS: sparse regime (20000, 16) stitched 3/3 sets with "
             f"{len(packing.paths)} paths, {len(used)} reservoir vertices "
@@ -355,14 +270,24 @@ def _crafted_multi_component_packing():
     fam = DominatingFamily(reservoir=groups[3], sets=[[0, 8, 16]],
                            representatives=[[0, 8, 16]])
     pars = PackingParams(epsilon=0.4, d_star=1, r1=1, r2=1, p1=0.84, p2=1.0,
-                         b_prob=0.16, m=1, D=8, s=55, mode="practice",
-                         n=60, d=30, lambda_used=15.0)
+                         b_prob=0.16, mode="practice", n=60, d=30,
+                         lambda_used=15.0)
     packing = cp.connect_family(g, fam, pars)
     assert cp.verify_packing(g, packing).failures == []
     for rec in packing.paths:
         assert all(v in set(groups[3]) for v in rec.internal)
-        assert rec.length <= rec.length_bound
+    assert_paths_within_bound(g.n, packing, fam.component_counts)
     return packing
+
+
+def assert_paths_within_bound(n, packing, component_counts):
+    """Each path of a set with c components is found with k = c, c - 1, ..., 2
+    classes left, and must meet path_bound(n, k)."""
+    for out, i in enumerate(packing.meta["family_indices"]):
+        recs = [p for p in packing.paths if p.set_index == out]
+        assert len(recs) == component_counts[i] - 1
+        for k, rec in zip(range(component_counts[i], 1, -1), recs):
+            assert rec.length <= path_bound(n, k)
 
 
 # -- 8: determinism ------------------------------------------------------------

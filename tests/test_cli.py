@@ -56,6 +56,8 @@ def test_pack_small_practice_run(tmp_path):
     assert report["verification"]["failures"] == []
     assert report["verification"]["target_met"]
     assert report["params"]["mode"] == "practice"
+    # practice mode derives no m, D or s, and reports them as null
+    assert [report["params"][k] for k in ("m", "D", "s")] == [None, None, None]
     assert "coloring" in report["timings"]
     assert report["seed"] == 1
     packing = json.loads(pack_path.read_text())
@@ -175,9 +177,14 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
      "argument --epsilon: must be finite, got nan"),
     (["gen", "--kind", "binomial", "--n", "100", "--p", "nan", "--out", "x.txt"],
      "argument --p: must be finite, got nan"),
+    # pack derives no m or D in practice mode and takes no overrides of them
+    (["pack", "--n", "600", "--d", "16", "--override-D", "4"],
+     "unrecognized arguments: --override-D 4"),
+    (["pack", "--n", "600", "--d", "16", "--override-m", "3"],
+     "unrecognized arguments: --override-m 3"),
 ], ids=["pack-max-sets", "pack-target", "verify-target", "pack-n-word",
         "pack-tol-nan", "pack-tol-inf", "spectrum-tol-nan", "spectrum-tol-inf",
-        "pack-epsilon-nan", "gen-p-nan"])
+        "pack-epsilon-nan", "gen-p-nan", "pack-override-D-4", "pack-override-m-3"])
 def test_negative_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -250,8 +257,6 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
     (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "spectral"),
     (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
-    (["pack", "--n", "600", "--d", "16", "--override-m", "-1"], "usage", "params"),
-    (["pack", "--n", "600", "--d", "16", "--override-D", "2"], "usage", "params"),
     (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
     (["gen", "--kind", "petersen", "--out", "{tmp}/missing/x.txt"], "input",
@@ -263,8 +268,7 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
 ], ids=["pack-odd-degree-sum", "pack-tol-0",
-        "pack-epsilon-1.5", "pack-override-m-negative", "pack-override-D-2",
-        "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
+        "pack-epsilon-1.5", "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
         "verify-packing-string-ids"])
 def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):

@@ -17,9 +17,8 @@ from cdspack.params import PackingParams
 from cdspack.rand import rng_for
 
 
-def practice_params(n, d, eps=0.4, **kw):
-    return derive_params(n, d, 2 * math.sqrt(d - 1) * 1.05, eps, "practice",
-                         overrides={"m": 2, "D": 8}, **kw)
+def practice_params(n, d, eps=0.4):
+    return derive_params(n, d, 2 * math.sqrt(d - 1) * 1.05, eps, "practice")
 
 
 def theory_params(n, d):

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from cdspack import (Graph, choose_representatives, complete_graph,
                      connect_family, derive_params, random_regular,
                      verify_packing, build_family, stage_one, stage_two)
 from cdspack.coloring import DominatingFamily
-from cdspack.connector import spanning_certificate
+from cdspack.connector import connect_one, spanning_certificate
 from cdspack.errors import CdsPackError
 from cdspack.params import PackingParams
 
@@ -27,10 +28,15 @@ def two_cliques_with_reservoir():
 
 def crafted_params(**kw):
     base = dict(epsilon=0.4, d_star=1, r1=1, r2=1, p1=0.84, p2=1.0,
-                b_prob=0.16, m=1, D=8, s=35, mode="practice",
-                n=40, d=20, lambda_used=10.0)
+                b_prob=0.16, mode="practice", n=40, d=20, lambda_used=10.0)
     base.update(kw)
     return PackingParams(**base)
+
+
+def path_bound(n, k):
+    """2 ln(n/k)/ln 3 + 1: theory mode's bound on a path found with k classes
+    left, at tree arity D/2 - 1 = 3 (D = 8)."""
+    return 2 * math.log(n / k) / math.log(3) + 1
 
 
 def plain_components(g, vertices):
@@ -56,8 +62,7 @@ def lowest_per_component(g, members):
 
 def generated_family():
     g = random_regular(400, 8, 2)
-    pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice",
-                         overrides={"m": 2, "D": 8})
+    pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice")
     fam = build_family(g, stage_two(g, stage_one(g, pars, 4), pars, 4), pars)
     return g, fam, pars
 
@@ -115,7 +120,7 @@ def test_connect_two_components_single_path():
     assert set(rec.endpoints) == {0, 10}
     assert rec.internal and all(v in set(reservoir) for v in rec.internal)
     assert rec.length == len(rec.internal) + 1
-    assert rec.length <= rec.length_bound
+    assert rec.length <= path_bound(40, 2)
     report = verify_packing(g, packing, target=1)
     assert report.failures == [] and report.target_met
 
@@ -200,8 +205,7 @@ def assert_paths_are_shortest(g, fam, packing):
 @pytest.mark.parametrize("graph_seed, seed", [(1, 3), (2, 2), (2, 3), (3, 1)])
 def test_each_path_is_a_shortest_reservoir_path(graph_seed, seed):
     g = random_regular(400, 8, graph_seed)
-    pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice",
-                         overrides={"m": 2, "D": 8})
+    pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice")
     fam = build_family(g, stage_two(g, stage_one(g, pars, seed), pars, seed), pars)
     assert max(fam.component_counts) > 1
     packing = connect_family(g, fam, pars)
@@ -243,12 +247,26 @@ def test_max_sets_cap():
     assert {p.set_index for p in packing.paths} == {0}
 
 
-def test_arity_guard():
+def test_practice_params_without_m_d_s_stitch():
+    # practice mode has no m, D or s, so no tree arity to guard and no budget
     g, reservoir = two_cliques_with_reservoir()
+    pars = crafted_params()
+    assert (pars.m, pars.D, pars.s) == (None, None, None)
     fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
                            representatives=[[0, 10]])
-    with pytest.raises(CdsPackError, match="arity"):
-        connect_family(g, fam, crafted_params(D=4))
+    packing = connect_family(g, fam, pars)
+    assert [p.endpoints for p in packing.paths] == [(0, 10)]
+    assert verify_packing(g, packing, target=1).failures == []
+
+
+def test_arity_guard():
+    # theory mode keeps the guard: D = 4 gives tree arity 1
+    g, reservoir = two_cliques_with_reservoir()
+    free = np.zeros(g.n, dtype=bool)
+    free[reservoir] = True
+    pars = crafted_params(mode="theory", m=1, D=4, s=35)
+    with pytest.raises(CdsPackError, match="arity 1 < 2"):
+        connect_one(g, [0, 10], free, 0, pars)
 
 
 def test_spanning_certificate_shape():
@@ -263,8 +281,7 @@ def test_spanning_certificate_shape():
 
 def test_pipeline_end_to_end_small():
     g = random_regular(600, 16, 3)
-    pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice",
-                         overrides={"m": 2, "D": 8})
+    pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice")
     fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
     packing = connect_family(g, fam, pars)
     report = verify_packing(g, packing, target=1)
@@ -279,8 +296,7 @@ def test_pipeline_end_to_end_small():
 
 def test_pipeline_deterministic():
     g = random_regular(600, 16, 3)
-    pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice",
-                         overrides={"m": 2, "D": 8})
+    pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice")
     fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
     p1 = connect_family(g, fam, pars)
     p2 = connect_family(g, fam, pars)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cdspack import (complete_graph, cycle_graph, expansion_check,
-                     extremal_eigenvalues, lambda_with_margin, mixing_slack,
+from cdspack import (complete_graph, cycle_graph, edge_count_between,
+                     expansion_check, extremal_eigenvalues, lambda_with_margin,
                      petersen_graph, random_regular)
 from cdspack.cli import _build_parser
 from cdspack.errors import NonRegularGraph
@@ -14,6 +14,19 @@ from cdspack.graph import Graph
 from cdspack import spectral
 from cdspack.rand import rng_for
 from cdspack.spectral import DENSE_LIMIT, _dense_extremal, _iterative_extremal
+
+
+def mixing_slack(g, lam, a, b):
+    """lam*sqrt(|a||b|) - |e(a,b) - |a||b|d/n|, the expander mixing lemma's slack.
+
+    Nonnegative (up to rounding) whenever lam is a true upper bound on the
+    graph's second eigenvalue magnitude.
+    """
+    d = spectral._require_regular(g)
+    if len(a) == 0 or len(b) == 0:
+        return 0.0
+    expected = len(a) * len(b) * d / g.n
+    return lam * math.sqrt(len(a) * len(b)) - abs(edge_count_between(g, a, b) - expected)
 
 
 def test_complete_graph_spectrum():
