@@ -10,8 +10,8 @@ from .graph import (Graph, components_of, edge_count_between,
                     gamma_restricted, induced_subgraph, load_graph, save_graph,
                     vertex_set)
 from .params import PackingParams, derive_params
-from .spectral import (ExpansionReport, SpectralProfile, expansion_check,
-                       extremal_eigenvalues, lambda_with_margin)
+from .spectral import (ExpansionReport, LambdaBound, SpectralProfile,
+                       expansion_check, extremal_eigenvalues, lambda_bound)
 from .verifier import (VerificationReport, brute_force_max_disjoint_cds,
                        brute_force_min_cds, is_dominating, verify_packing)
 

@@ -19,7 +19,7 @@ import time
 from . import connector, generators, pipeline, spectral, verifier
 from .errors import (BudgetExceeded, CdsPackError, EigenConvergenceError,
                      GenerationError, GraphFormatError, InfeasibleParameters,
-                     NoCrossEdge, NonRegularGraph, PackingFormatError,
+                     NonRegularGraph, PackingFormatError,
                      PostconditionViolation, ResampleBudgetExhausted,
                      VerificationFailed, error_body)
 from .graph import load_graph, save_graph
@@ -32,9 +32,9 @@ EXIT_CODES = {
     "infeasible": 4,       # InfeasibleParameters
     "resample": 5,         # ResampleBudgetExhausted
     "postcondition": 6,    # PostconditionViolation
-    "connect": 7,          # NoCrossEdge / BudgetExceeded
+    "connect": 7,          # BudgetExceeded, theory mode only
     "verification": 8,     # VerificationFailed or target unmet
-    "spectral": 9,         # NonRegularGraph / EigenConvergenceError
+    "spectral": 9,         # NonRegularGraph / EigenConvergenceError (spectrum)
 }
 
 _ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
@@ -43,7 +43,7 @@ _ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
     InfeasibleParameters: "infeasible",
     ResampleBudgetExhausted: "resample",
     PostconditionViolation: "postcondition",
-    (NoCrossEdge, BudgetExceeded): "connect",
+    BudgetExceeded: "connect",  # connect_family lists a NoCrossEdge set as failed
     VerificationFailed: "verification",
     (NonRegularGraph, EigenConvergenceError): "spectral",
     ValueError: "usage",  # an invalid numeric argument
@@ -147,16 +147,16 @@ def run_pack(args) -> int:
         shared["graph"] = {"n": g.n, "m": g.m, **ginfo}
         phase = "spectral"
         t0 = time.perf_counter()
-        profile = spectral.extremal_eigenvalues(g, tol=args.tol)
+        bound = spectral.lambda_bound(g)
         timings["spectral"] = time.perf_counter() - t0
-        shared["spectral"] = profile.to_json()
+        shared["spectral"] = bound.to_json()
     except _CAUGHT as exc:
         error = error_body(phase, exc)
         bodies = [{"seed": s, "timings": {}, **shared, "error": error} for s in seeds]
         code = _code_for(exc)
         packing = None
     else:
-        results = [pipeline.run(g, profile, s, args.epsilon, mode=args.mode,
+        results = [pipeline.run(g, bound.bound, s, args.epsilon, mode=args.mode,
                                 max_sets=args.max_sets, target=args.target)
                    for s in seeds]
         # max keeps the first of equals, so ties go to the lowest seed
@@ -191,7 +191,7 @@ def _config_echo(args) -> dict:
         "input": args.input, "n": args.n, "d": args.d,
         "epsilon": args.epsilon, "mode": args.mode, "seed": args.seed,
         "target": args.target, "max_sets": args.max_sets,
-        "trials": args.trials, "tol": args.tol,
+        "trials": args.trials,
     }
 
 
@@ -278,9 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_int_at_least(0), default=1)
     p.add_argument("--max-sets", type=_int_at_least(0), dest="max_sets")
     p.add_argument("--trials", type=_int_at_least(1), default=1)
-    # lambda is consumed as 1.05 * lambda (spectral.SAFETY_MARGIN); at 1e-3
-    # the Lanczos error stays far inside that margin (see spectral's docstring)
-    p.add_argument("--tol", type=_finite_float, default=1e-3)
     p.add_argument("--report")
     p.add_argument("--packing-out", dest="packing_out")
     p.set_defaults(run=run_pack)

@@ -1,6 +1,6 @@
-"""One seed of the packing pipeline, from a measured spectrum to a verified packing.
+"""One seed of the packing pipeline, from a lambda bound to a verified packing.
 
-Loading the graph and measuring its spectrum depend only on the graph, so a
+Loading the graph and bounding its lambda depend only on the graph, so a
 caller does them once and calls `run` once per seed: params, coloring,
 connector, whose one verification `run` reports with the target applied.
 Each layer is called through its module, never through a name imported
@@ -12,13 +12,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from . import coloring, connector, params, spectral
+from . import coloring, connector, params
 from .coloring import DominatingFamily
 from .connector import CdsPacking
 from .errors import CdsPackError, ResampleBudgetExhausted, error_body
 from .graph import Graph
 from .params import PackingParams
-from .spectral import SpectralProfile
 from .verifier import VerificationReport
 
 COLORING_RESTARTS = 3
@@ -41,10 +40,12 @@ class PackResult:
     error: CdsPackError | ValueError | None = None
 
 
-def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
+def run(g: Graph, lam: float, seed: int, epsilon: float,
         mode: str = "practice", max_sets: int | None = None,
         target: int | None = None) -> PackResult:
-    """Derive params, color and connect one seed on `g`, verified once.
+    """Derive params from `lam`, an upper bound on lambda such as
+    `spectral.lambda_bound(g).bound`, then color and connect one seed on
+    `g`, verified once.
 
     Coloring retries with the next seed up to COLORING_RESTARTS times when
     a coloring stage runs out of budget. Sets that fail to connect are left
@@ -60,7 +61,6 @@ def run(g: Graph, profile: SpectralProfile, seed: int, epsilon: float,
         return result
 
     try:
-        lam = spectral.lambda_with_margin(profile)
         pars = params.derive_params(g.n, g.regular_degree(), lam, epsilon,
                                     mode=mode)
     except (CdsPackError, ValueError) as exc:

@@ -145,8 +145,7 @@ def _dense_matrix(g):
 def test_criterion_4_mixing_never_violated():
     start = time.time()
     g = cp.random_regular(1000, 20, seed=11)
-    prof = cp.extremal_eigenvalues(g, tol=1e-8)
-    lam = cp.lambda_with_margin(prof)
+    lam = cp.lambda_bound(g).bound
     rng = rng_for(104)
     violations = 0
     for _ in range(10**4):
@@ -194,8 +193,7 @@ def test_criterion_5_family_postconditions_at_scale():
 
 def _pack_run(n, d, seed):
     g = cp.random_regular(n, d, seed)
-    prof = cp.extremal_eigenvalues(g, tol=1e-6)
-    result = pipeline.run(g, prof, seed, 0.3)
+    result = pipeline.run(g, cp.lambda_bound(g).bound, seed, 0.3)
     assert result.error is None, result.body["error"]
     return result.packing, result.family, result.verification
 
@@ -235,7 +233,7 @@ def test_sparse_regime_stitches_every_set():
     # falls apart into components, so each set is joined through the reservoir
     start = time.time()
     g = cp.random_regular(20000, 16, 6)
-    result = pipeline.run(g, cp.extremal_eigenvalues(g, tol=1e-3), 6, 0.3)
+    result = pipeline.run(g, cp.lambda_bound(g).bound, 6, 0.3)
     assert result.error is None, result.body["error"]
     assert result.family.component_counts == [5, 2, 2]
     packing = result.packing

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cdspack import coloring
+from cdspack import coloring, spectral
 from cdspack.cli import EXIT_CODES, main
 from cdspack.errors import PostconditionViolation, ResampleBudgetExhausted
 from cdspack.graph import load_graph
@@ -165,10 +165,6 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
      "argument --target: must be at least 0"),
     (["pack", "--n", "abc", "--d", "12"], "argument --n: invalid int value: 'abc'"),
     # a non-finite float would be echoed as NaN or Infinity, which is not JSON
-    (["pack", "--n", "600", "--d", "16", "--tol", "nan"],
-     "argument --tol: must be finite, got nan"),
-    (["pack", "--n", "600", "--d", "16", "--tol", "inf"],
-     "argument --tol: must be finite, got inf"),
     (["spectrum", "--input", "g.txt", "--tol", "nan"],
      "argument --tol: must be finite, got nan"),
     (["spectrum", "--input", "g.txt", "--tol", "inf"],
@@ -177,14 +173,17 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
      "argument --epsilon: must be finite, got nan"),
     (["gen", "--kind", "binomial", "--n", "100", "--p", "nan", "--out", "x.txt"],
      "argument --p: must be finite, got nan"),
+    # pack's lambda bound has no tolerance to set
+    (["pack", "--n", "600", "--d", "16", "--tol", "nan"],
+     "unrecognized arguments: --tol nan"),
     # pack derives no m or D in practice mode and takes no overrides of them
     (["pack", "--n", "600", "--d", "16", "--override-D", "4"],
      "unrecognized arguments: --override-D 4"),
     (["pack", "--n", "600", "--d", "16", "--override-m", "3"],
      "unrecognized arguments: --override-m 3"),
 ], ids=["pack-max-sets", "pack-target", "verify-target", "pack-n-word",
-        "pack-tol-nan", "pack-tol-inf", "spectrum-tol-nan", "spectrum-tol-inf",
-        "pack-epsilon-nan", "gen-p-nan", "pack-override-D-4", "pack-override-m-3"])
+        "spectrum-tol-nan", "spectrum-tol-inf", "pack-epsilon-nan", "gen-p-nan",
+        "pack-tol-nan", "pack-override-D-4", "pack-override-m-3"])
 def test_negative_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -226,7 +225,7 @@ def test_report_is_one_line_of_json(tmp_path, capsys):
 
 def test_tracing_sees_every_layer_once_per_use(tmp_path):
     """The benchmark's tracer wraps module attributes; each layer must be
-    called through them, and load and spectrum must run once per invocation."""
+    called through them, and load must run once per invocation."""
     gpath = tmp_path / "g.txt"
     main(["gen", "--kind", "regular", "--n", "400", "--d", "12", "--seed", "2",
           "--out", str(gpath)])
@@ -240,7 +239,8 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
     assert calls["graph.load_graph"] == 1
-    assert calls["spectral.extremal_eigenvalues"] == 1
+    # pack bounds lambda with spectral.lambda_bound, which the tracer does not wrap
+    assert calls["spectral.extremal_eigenvalues"] == 0
     assert calls["params.derive_params"] == 2
     assert calls["verifier.verify_packing"] == 2  # the connector's, once per trial
     assert calls["cli.emit"] == 1
@@ -253,9 +253,42 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert calls["graph.components_of"] == 0
 
 
+def test_pack_bounds_lambda_once_per_invocation(capsys, monkeypatch):
+    real, bounds = spectral.lambda_bound, []
+
+    def counted(g):
+        bounds.append(real(g))
+        return bounds[-1]
+
+    monkeypatch.setattr(spectral, "lambda_bound", counted)
+    assert main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
+                 "--seed", "1", "--trials", "2"]) == 0
+    bound, = bounds
+    for trial in json.loads(capsys.readouterr().out)["trials"]:
+        assert trial["spectral"] == bound.to_json()
+        assert trial["spectral"]["method"] == "lanczos"
+        assert trial["params"]["lambda_used"] == bound.bound
+
+
+def test_pack_never_imports_scipy(tmp_path):
+    """pack bounds lambda with numpy alone; spectrum above the dense size
+    still loads SciPy for its Lanczos call."""
+    script = (
+        "import sys\n"
+        "from cdspack.cli import main\n"
+        "main(['pack', '--n', '600', '--d', '16', '--seed', '1'])\n"
+        "assert 'scipy' not in sys.modules\n"
+        "main(['gen', '--kind', 'regular', '--n', '600', '--d', '16', '--out', 'g.txt'])\n"
+        "main(['spectrum', '--input', 'g.txt'])\n"
+        "assert 'scipy' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv, code, phase", [
     (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
-    (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "spectral"),
     (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
     (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
@@ -267,8 +300,7 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
      "load"),
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
-], ids=["pack-odd-degree-sum", "pack-tol-0",
-        "pack-epsilon-1.5", "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
+], ids=["pack-odd-degree-sum", "pack-epsilon-1.5", "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
         "verify-packing-string-ids"])
 def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from cdspack import (binomial_random, build_family, derive_params,
-                     extremal_eigenvalues, lambda_with_margin, random_regular,
-                     stage_one, stage_two)
+                     lambda_bound, random_regular, stage_one, stage_two)
 from cdspack.coloring import (_STAGE1_TAG, _STAGE2_TAG, RESAMPLE_FACTOR,
                               RESERVOIR, UNCOLORED, ColorAssignment,
                               _neighbor_counts, stage_one_thresholds,
@@ -417,10 +416,10 @@ def test_practice_stage_one_converges_in_sparse_regime(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pack_params_stage_one_converges_at_degree_eight(seed):
-    # pack's own parameters (epsilon 0.3, measured lambda): resampling took
+    # pack's own parameters (epsilon 0.3, its lambda bound): resampling took
     # 1155, 12470 and 3730 steps for these seeds
     g = random_regular(600, 8, 1)
-    lam = lambda_with_margin(extremal_eigenvalues(g, tol=1e-3))
+    lam = lambda_bound(g).bound
     pars = derive_params(600, 8, lam, 0.3, "practice")
     out = stage_one(g, pars, seed, max_resamples=g.n - 1)
     counts = _neighbor_counts(g, column_labels(out.c1, pars.r1), pars.r1 + 1)

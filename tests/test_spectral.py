@@ -1,19 +1,18 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from cdspack import (complete_graph, cycle_graph, edge_count_between,
-                     expansion_check, extremal_eigenvalues, lambda_with_margin,
+                     expansion_check, extremal_eigenvalues, lambda_bound,
                      petersen_graph, random_regular)
-from cdspack.cli import _build_parser
 from cdspack.errors import NonRegularGraph
 from cdspack.graph import Graph
 from cdspack import spectral
 from cdspack.rand import rng_for
-from cdspack.spectral import DENSE_LIMIT, _dense_extremal, _iterative_extremal
+from cdspack.spectral import (DENSE_LIMIT, _dense_extremal, _iterative_extremal,
+                              lanczos_steps)
 
 
 def mixing_slack(g, lam, a, b):
@@ -57,6 +56,8 @@ def test_non_regular_rejected():
     with pytest.raises(NonRegularGraph):
         extremal_eigenvalues(g)
     with pytest.raises(NonRegularGraph):
+        lambda_bound(g)
+    with pytest.raises(NonRegularGraph):
         mixing_slack(g, 1.0, [0], [1])
 
 
@@ -71,18 +72,16 @@ def test_iterative_matches_dense_small():
 
 
 def record_eigsh(monkeypatch) -> list:
-    """Stub spectral.spla so each eigsh call appends (operator, kwargs, result)."""
-    real = spectral.spla
+    """Stub SciPy's eigsh so each call appends (operator, kwargs, result)."""
+    real = spla.eigsh
     calls = []
 
     def eigsh(op, **kwargs):
-        result = real.eigsh(op, **kwargs)
+        result = real(op, **kwargs)
         calls.append((op, kwargs, result))
         return result
 
-    monkeypatch.setattr(spectral, "spla", SimpleNamespace(
-        LinearOperator=real.LinearOperator, eigsh=eigsh,
-        ArpackNoConvergence=real.ArpackNoConvergence))
+    monkeypatch.setattr(spla, "eigsh", eigsh)
     return calls
 
 
@@ -98,51 +97,25 @@ def test_iterative_path_makes_one_lanczos_call(monkeypatch):
     assert 0 <= r2 < 1e-5 and 0 <= rn < 1e-5  # converged pairs, tiny residuals
 
 
-PACK_TOL = _build_parser().parse_args(["pack"]).tol
-
-
-@pytest.mark.parametrize("tol, dtype", [(PACK_TOL, np.float32), (1e-6, np.float64)],
-                         ids=["pack-default", "1e-6"])
-def test_lanczos_precision_follows_tol(monkeypatch, tol, dtype):
-    calls = record_eigsh(monkeypatch)
-    g = random_regular(600, 8, 4)
-    _iterative_extremal(g, tol)
-    (op, kwargs, _), = calls
-    assert op.dtype == dtype and kwargs["v0"].dtype == dtype
-    x = rng_for(7).standard_normal(g.n).astype(dtype)
-    y = op.matvec(x)
-    assert y.dtype == dtype
-    # x -> A x - d*mean(x), in the call's precision
-    a = spectral._adjacency_csr(g)
-    expected = a @ x.astype(np.float64) - 8 * x.astype(np.float64).mean()
-    assert np.allclose(y, expected, rtol=0, atol=100 * np.finfo(dtype).eps)
-
-
-def float64_lanczos(g, tol):
-    """lambda of one float64 Lanczos call on the operator and v0 spectral uses."""
-    a = spectral._adjacency_csr(g)
-    d = g.regular_degree()
-    op = spla.LinearOperator((g.n, g.n), matvec=lambda x: a @ x - d * x.mean(),
-                             dtype=np.float64)
-    v0 = rng_for(spectral._V0_TAG, g.n).standard_normal(g.n)
-    w = spla.eigsh(op, k=2, which="BE", tol=tol, v0=v0, return_eigenvectors=False)
-    return float(np.abs(w).max())
+def dense_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    e = g.edge_array()
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1.0
+    return a
 
 
 @pytest.mark.parametrize("d", [8, 64])
-def test_single_precision_lambda_and_residuals(monkeypatch, d):
-    """At pack's tol, float32 moves lambda by far less than the tolerance, and
-    each residual is the float64 norm of A'x - theta x for the returned pair."""
+def test_residuals_are_those_of_the_returned_pair(monkeypatch, d):
+    """Even at a coarse tol the call runs in float64, and each residual is
+    the norm of A'x - theta x for the returned pair."""
     g = random_regular(2000, d, 1)
     calls = record_eigsh(monkeypatch)
-    prof = extremal_eigenvalues(g, tol=PACK_TOL)
+    prof = extremal_eigenvalues(g, tol=1e-3)
     assert prof.method == "iterative"
     assert isinstance(prof.lambda2, float) and isinstance(prof.lambda_n, float)
-    assert prof.lam == pytest.approx(float64_lanczos(g, PACK_TOL), rel=1e-5)
-    (_, _, (w, x)), = calls
-    assert w.dtype == x.dtype == np.float32
-    w, x = w.astype(np.float64), x.astype(np.float64)
-    a = spectral._adjacency_csr(g)
+    (op, kwargs, (w, x)), = calls
+    assert op.dtype == kwargs["v0"].dtype == w.dtype == x.dtype == np.float64
+    a = dense_adjacency(g)
     residual = np.linalg.norm(a @ x - d * x.mean(axis=0) - x * w, axis=0)
     hi, lo = int(np.argmax(w)), int(np.argmin(w))
     assert (prof.lambda2, prof.lambda_n) == (w[hi], w[lo])
@@ -181,41 +154,63 @@ def test_iterative_path_known_spectra(g, lambda2, lambda_n):
 
 
 def test_margin_applies_to_iterative_only():
-    dense = extremal_eigenvalues(petersen_graph())
-    assert lambda_with_margin(dense) == dense.lam
-    assert dense.lambda2_residual == dense.lambda_n_residual == 0.0
-    g = random_regular(600, 8, 4)
-    it = extremal_eigenvalues(g, tol=1e-8)
-    assert it.method == "iterative"
-    assert lambda_with_margin(it) == pytest.approx(1.05 * it.lam)
+    dense = lambda_bound(petersen_graph())
+    assert dense.bound == dense.ritz == pytest.approx(2.0, abs=1e-9)
+    assert (dense.method, dense.steps, dense.delta) == ("dense", 0, 0.0)
+    assert extremal_eigenvalues(petersen_graph()).lambda2_residual == 0.0
+    it = lambda_bound(random_regular(600, 8, 4))
+    assert (it.method, it.steps, it.delta) == ("lanczos", lanczos_steps(600), 1e-6)
+    assert it.bound == 1.05 * it.ritz
 
 
-@pytest.mark.parametrize("n", [600, 1000])
-@pytest.mark.parametrize("d", [4, 16, 64])
-@pytest.mark.parametrize("seed", [1, 2])
+def assert_bound_within_margin(bound, lam):
+    """lambda <= bound <= 1.05 lambda, up to float32 rounding in the Ritz value."""
+    assert bound.method == "lanczos"
+    assert lam <= bound.bound <= 1.05 * lam * (1 + 1e-5)
+
+
+# the names speak of pack's former Lanczos tolerance; they now check the
+# lambda bound that pack takes in its place
+@pytest.mark.parametrize("n", [600, 1000, 2000])
+@pytest.mark.parametrize("d", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_default_pack_tol_stays_inside_margin(n, d, seed):
-    """At pack's default tolerance the margin still covers the Lanczos error."""
-    tol = _build_parser().parse_args(["pack"]).tol
+    """pack's lambda bound lies between the dense lambda and 1.05 times it."""
     g = random_regular(n, d, seed)
-    prof = extremal_eigenvalues(g, tol=tol)
-    assert prof.method == "iterative"
     lambda2, lambda_n = _dense_extremal(g)  # np.linalg.eigvalsh
-    lam = max(lambda2, -lambda_n)
-    assert lambda_with_margin(prof) >= lam
-    assert abs(prof.lam - lam) <= 1e-3 * lam
-    blob = prof.to_json()
-    assert blob["lambda2_residual"] >= 0 and blob["lambda_n_residual"] >= 0
+    assert_bound_within_margin(lambda_bound(g), max(lambda2, -lambda_n))
 
 
 @pytest.mark.parametrize("d", [4, 16, 64])
 def test_default_pack_tol_holds_at_larger_n(d):
-    """Past the dense sizes, check the default against a tol 1e-10 run."""
-    tol = _build_parser().parse_args(["pack"]).tol
+    """Past the dense sizes, check the bound against a tol 1e-10 lambda."""
     g = random_regular(5000, d, 1)
-    lam = extremal_eigenvalues(g, tol=1e-10).lam
-    prof = extremal_eigenvalues(g, tol=tol)
-    assert lambda_with_margin(prof) >= lam
-    assert abs(prof.lam - lam) <= 1e-3 * lam
+    assert_bound_within_margin(lambda_bound(g), extremal_eigenvalues(g, tol=1e-10).lam)
+
+
+def test_lanczos_steps_at_benchmark_sizes():
+    # 1.648 sqrt(n) e^(-sqrt(eps) (2k - 1)) <= 1e-6 with eps = 1 - 1/1.05^2
+    assert lanczos_steps(20000) == lanczos_steps(50000) == 33
+    eps = 1 - 1 / 1.05 ** 2
+    for n in (600, 20000, 50000):
+        k = lanczos_steps(n)
+        assert 1.648 * math.sqrt(n) * math.exp(-math.sqrt(eps) * (2 * k - 1)) <= 1e-6
+        assert 1.648 * math.sqrt(n) * math.exp(-math.sqrt(eps) * (2 * k - 3)) > 1e-6
+
+
+def test_bound_stops_at_breakdown():
+    """K_{300,300} (n = 600, past the dense path): A'^2 has the eigenvalues
+    300^2 and 0 only, so the Krylov space is invariant after two steps."""
+    g = Graph(600, [(u, 300 + v) for u in range(300) for v in range(300)])
+    bound = lambda_bound(g)
+    assert bound.method == "lanczos" and bound.steps == 2 < lanczos_steps(600)
+    assert bound.bound == pytest.approx(315.0, rel=1e-6)
+
+
+def test_bound_closed_forms():
+    assert lambda_bound(complete_graph(600)).to_json() == {
+        "lambda_bound": 1.0, "ritz_lambda": 1.0, "steps": 0, "delta": 0.0,
+        "method": "closed-form"}
 
 
 def test_mixing_slack_examples():

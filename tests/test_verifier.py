@@ -5,7 +5,7 @@ import pytest
 
 from cdspack import (Graph, binomial_random, brute_force_max_disjoint_cds,
                      brute_force_min_cds, complete_graph, cycle_graph,
-                     extremal_eigenvalues, glued_cliques, is_dominating,
+                     glued_cliques, is_dominating, lambda_bound,
                      petersen_graph, pipeline, random_regular, verify_packing,
                      vertex_set)
 from cdspack.connector import CdsPacking
@@ -324,7 +324,7 @@ def test_pipeline_consistent_with_oracle_on_tiny_graphs():
     graphs += [random_regular(12, d, s) for d in (4, 6, 8) for s in (1, 2, 3)]
     packed = 0
     for g in graphs:
-        result = pipeline.run(g, extremal_eigenvalues(g), 2, 0.4)
+        result = pipeline.run(g, lambda_bound(g).bound, 2, 0.4)
         if result.error is not None:
             assert isinstance(result.error, CdsPackError), result.body["error"]
             continue
