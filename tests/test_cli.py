@@ -176,6 +176,8 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
     # pack's lambda bound has no tolerance to set
     (["pack", "--n", "600", "--d", "16", "--tol", "nan"],
      "unrecognized arguments: --tol nan"),
+    (["pack", "--n", "600", "--d", "16", "--tol", "inf"],
+     "unrecognized arguments: --tol inf"),
     # pack derives no m or D in practice mode and takes no overrides of them
     (["pack", "--n", "600", "--d", "16", "--override-D", "4"],
      "unrecognized arguments: --override-D 4"),
@@ -183,7 +185,7 @@ def test_pack_rejects_fewer_than_one_trial(capsys):
      "unrecognized arguments: --override-m 3"),
 ], ids=["pack-max-sets", "pack-target", "verify-target", "pack-n-word",
         "spectrum-tol-nan", "spectrum-tol-inf", "pack-epsilon-nan", "gen-p-nan",
-        "pack-tol-nan", "pack-override-D-4", "pack-override-m-3"])
+        "pack-tol-nan", "pack-tol-inf", "pack-override-D-4", "pack-override-m-3"])
 def test_negative_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -289,6 +291,8 @@ def test_pack_never_imports_scipy(tmp_path):
 
 @pytest.mark.parametrize("argv, code, phase", [
     (["pack", "--n", "101", "--d", "3"], "usage", "generate"),
+    # pack takes no --tol: argparse rejects it before any phase runs
+    (["pack", "--n", "600", "--d", "16", "--tol", "0"], "usage", "arguments"),
     (["pack", "--n", "600", "--d", "16", "--epsilon", "1.5"], "usage", "params"),
     (["spectrum", "--input", "{tmp}/missing.txt"], "input", "load"),
     (["spectrum", "--input", "{graph}", "--tol", "0"], "usage", "spectral"),
@@ -300,7 +304,8 @@ def test_pack_never_imports_scipy(tmp_path):
      "load"),
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
-], ids=["pack-odd-degree-sum", "pack-epsilon-1.5", "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
+], ids=["pack-odd-degree-sum", "pack-tol-0",
+        "pack-epsilon-1.5", "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
         "verify-packing-string-ids"])
 def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):
@@ -311,7 +316,11 @@ def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phas
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "strings.json").write_text('{"sets": [["a"]]}')
     argv = [a.format(tmp=tmp_path, graph=graph) for a in argv]
-    assert main(argv) == EXIT_CODES[code]
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # an argument argparse rejects
+        status = exc.code
+    assert status == EXIT_CODES[code]
     error = json.loads(capsys.readouterr().out)["error"]  # one report, nothing else
     assert error["phase"] == phase
     assert error["type"] and error["message"]

@@ -104,14 +104,62 @@ def dense_adjacency(g):
     return a
 
 
+def record_deflated(monkeypatch) -> tuple[list, list]:
+    """Stub spectral._deflated_adjacency so each operator it builds is kept,
+    and each product lambda_bound takes with it appends its input's dtype."""
+    real = spectral._deflated_adjacency
+    ops, dtypes = [], []
+
+    def deflated(g, d):
+        apply = real(g, d)
+        ops.append(apply)
+
+        def recorded(x):
+            dtypes.append(x.dtype)
+            return apply(x)
+
+        return recorded
+
+    monkeypatch.setattr(spectral, "_deflated_adjacency", deflated)
+    return ops, dtypes
+
+
+@pytest.mark.parametrize("tol, dtype", [(None, np.float32), (1e-6, np.float64)],
+                         ids=["pack-default", "1e-6"])
+def test_lanczos_precision_follows_tol(monkeypatch, tol, dtype):
+    """pack's bound, which takes no tol, runs its Lanczos basis in float32;
+    spectrum's Lanczos call runs in float64 whatever its tol."""
+    g = random_regular(600, 8, 4)
+    if tol is None:
+        ops, dtypes = record_deflated(monkeypatch)
+        bound = lambda_bound(g)
+        assert set(dtypes) == {np.dtype(dtype)}
+        assert len(dtypes) == 2 * bound.steps - 1  # two products a step, one in the last
+        matvec, = ops
+    else:
+        calls = record_eigsh(monkeypatch)
+        _iterative_extremal(g, tol)
+        (op, kwargs, _), = calls
+        assert op.dtype == dtype and kwargs["v0"].dtype == dtype
+        matvec = op.matvec
+    x = rng_for(7).standard_normal(g.n).astype(dtype)
+    y = matvec(x)
+    assert y.dtype == dtype
+    # x -> A x - d*mean(x), in the call's precision
+    expected = dense_adjacency(g) @ x.astype(np.float64) - 8 * x.astype(np.float64).mean()
+    assert np.allclose(y, expected, rtol=0, atol=100 * np.finfo(dtype).eps)
+
+
 @pytest.mark.parametrize("d", [8, 64])
-def test_residuals_are_those_of_the_returned_pair(monkeypatch, d):
-    """Even at a coarse tol the call runs in float64, and each residual is
+def test_single_precision_lambda_and_residuals(monkeypatch, d):
+    """pack's float32 Ritz value moves lambda by far less than the margin;
+    spectrum, even at a coarse tol, runs in float64, and each residual is
     the norm of A'x - theta x for the returned pair."""
     g = random_regular(2000, d, 1)
     calls = record_eigsh(monkeypatch)
     prof = extremal_eigenvalues(g, tol=1e-3)
     assert prof.method == "iterative"
+    assert abs(lambda_bound(g).ritz - prof.lam) <= 1e-3 * prof.lam
     assert isinstance(prof.lambda2, float) and isinstance(prof.lambda_n, float)
     (op, kwargs, (w, x)), = calls
     assert op.dtype == kwargs["v0"].dtype == w.dtype == x.dtype == np.float64
