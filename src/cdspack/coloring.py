@@ -4,39 +4,46 @@ Stage one assigns every vertex to the reservoir (probability b_prob), to one
 of r1 first-stage colors (probability p1 each), or leaves it uncolored (only
 possible through floating-point edge cases, since b_prob + r1*p1 = 1). Stage
 two refines each colored vertex with a uniform second-stage color in [r2].
-Both stages loop while some neighborhood count violates its threshold,
-always fixing the lexicographically lowest violated event, and split by mode
-the same way:
+
+Each stage keeps one count matrix, counts[v, c] = the neighbors of v in
+column c, and gives each column an integer window lo[c] <= x < hi[c]. Stage
+one's columns are the colors 0..r1-1 and the reservoir r1; stage two's are
+the d_star classes c*r2 + c'. An uncolored vertex sits in column -1, which
+is not counted. An entry outside its window is a bad event. Both stages loop
+while one is left, always fixing the lexicographically lowest, and split by
+mode the same way:
   theory   - Moser-Tardos resampling: redraw the labels of every vertex the
              event depends on (all of N(v) in stage one, v's c-colored
-             neighbors in stage two). Counts move only for the vertices
-             whose label changed: for the others the decrement and
-             increment would cancel.
-  practice - minimum-collateral repair: move one neighbor w of v into the
-             short column (or, for a count above a finite upper bound, out
-             of the crowded one into v's emptiest column). w is the
-             candidate whose move drops the fewest count entries below
-             their bound, ties to the lowest id. At desk scale a resample
-             breaks about as many events as it fixes, so resampling may
-             never settle; a one-vertex repair does.
-Violations are tracked incrementally: only the count entries of the moved
-vertices' neighbors are re-tested, and the next event is still the lowest
+             neighbors in stage two).
+  practice - minimum-collateral repair: move one of those vertices into the
+             short column or, for a count at or above hi, out of the crowded
+             one into v's emptiest other column (in stage two, v's emptiest
+             class of color c, which may be the crowded class itself). The
+             vertex moved is the candidate whose move drops the fewest count
+             entries below their window, ties to the lowest id. At desk scale
+             a resample breaks about as many events as it fixes, so
+             resampling may never settle; a one-vertex repair does.
+Every count update is one vertex changing column (`_move`): a resample moves
+only the vertices whose label changed. Only the count entries of a moved
+vertex's neighbors are re-tested, and the next event is still the lowest
 violated one, exactly as a full rescan of the count matrix would pick it.
 
-Thresholds by mode:
-  theory   - stage one requires every count inside [(1-eps/2)E, (1+eps/2)E]
-             with E = p1*d for colors and b_prob*d for the reservoir.
-  practice - one-sided lower bounds only: reservoir counts must reach
-             b_prob*d/2 (exactly the bound the output contract needs) and
-             color counts max(r2, p1*d/2) (enough for stage two to have room
-             to work). The two-sided windows have per-event failure
-             probability near 1/2 at desk-scale d, so resampling would never
-             terminate; callers may still pass explicit thresholds.
-
-Stage two uses the same band in both modes: each (c, c') must appear in every
-neighborhood strictly more than eps^2 * ln d times and strictly fewer than
-20 * ln d times. At desk scale the lower bound reduces to "at least once",
-which is exactly domination.
+Thresholds are floats, turned into the integer windows above:
+  stage one - inclusive bounds lo <= x <= hi, the window
+              [ceil(lo), floor(hi) + 1). Theory mode requires every count
+              inside [(1-eps/2)E, (1+eps/2)E] with E = p1*d for colors and
+              b_prob*d for the reservoir. Practice mode has one-sided lower
+              bounds only: reservoir counts must reach b_prob*d/2 (exactly
+              the bound the output contract needs) and color counts
+              max(r2, p1*d/2) (enough for stage two to have room to work).
+              The two-sided windows have per-event failure probability near
+              1/2 at desk-scale d, so resampling would never terminate;
+              callers may still pass explicit thresholds.
+  stage two - the same strict band in both modes, lo < x < hi, the window
+              [floor(lo) + 1, ceil(hi)): each (c, c') must appear in every
+              neighborhood strictly more than eps^2 * ln d times and
+              strictly fewer than 20 * ln d times. At desk scale the lower
+              bound reduces to "at least once", which is exactly domination.
 
 build_family labels all d_star classes in one `graph.label_components` call,
 which gives both whether each class dominates and the lowest vertex of each
@@ -46,7 +53,6 @@ of its components; the connector takes those as its representatives.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import inf, log
 
@@ -55,7 +61,7 @@ import numpy as np
 from .errors import PostconditionViolation, ResampleBudgetExhausted
 # unused here, but perfbench/trace_pack.py wraps coloring.components_of
 from .graph import components_of  # noqa: F401
-from .graph import Graph, concat_neighbors, label_components
+from .graph import Graph, label_components
 from .params import PackingParams
 from .rand import rng_for
 
@@ -124,16 +130,8 @@ def _draw_columns(rng: np.random.Generator, size: int, b_prob: float,
     return cols
 
 
-def _column_labels(c1: np.ndarray, r1: int) -> np.ndarray:
-    """Map stage-one labels to count-matrix columns: colors 0..r1-1, reservoir r1."""
-    lab = c1.astype(np.int64)
-    lab[c1 == RESERVOIR] = r1
-    lab[c1 == UNCOLORED] = -1
-    return lab
-
-
 def _stage_one_labels(cols: np.ndarray, r1: int) -> np.ndarray:
-    """Inverse of `_column_labels`: count-matrix columns back to stage-one labels."""
+    """Count-matrix columns back to stage-one labels."""
     c1 = cols.astype(np.int32)
     c1[cols == r1] = RESERVOIR
     c1[cols < 0] = UNCOLORED
@@ -151,67 +149,51 @@ def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
     return np.ascontiguousarray(counts.reshape(g.n, ncols + 1)[:, 1:])
 
 
-def _relabel(g: Graph, counts: np.ndarray, labels: np.ndarray,
-             verts: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Give `verts` the count-matrix columns `new`, in `labels` and in `counts`.
-
-    Only the vertices whose column changes move counts. Returns the flat
-    indices (row * ncols + col) of the count entries it changed, with
-    repeats: one gather of the changed vertices' neighbor slots, one
-    decrement at their old columns, one increment at their new ones. Column
-    -1 (uncolored) is not counted.
-    """
-    old = labels[verts]
-    moved = old != new
-    if not moved.any():
-        return np.empty(0, dtype=np.int64)
-    verts, old, new = verts[moved], old[moved], new[moved]
-    labels[verts] = new
-    degs = g.degrees[verts]
-    slots = concat_neighbors(g, verts) * counts.shape[1]
-    dec = slots + old.repeat(degs)
-    inc = slots + new.repeat(degs)
-    if min(old.min(), new.min()) < 0:
-        dec, inc = dec[(old >= 0).repeat(degs)], inc[(new >= 0).repeat(degs)]
-    flat = counts.reshape(-1)  # a view: counts is C-contiguous
-    np.subtract.at(flat, dec, 1)
-    np.add.at(flat, inc, 1)
-    return np.concatenate((dec, inc))
-
-
 def _move(g: Graph, counts: np.ndarray, labels: np.ndarray, w: int,
           new: int) -> np.ndarray:
-    """Give the one vertex `w` the count-matrix column `new` (>= 0).
+    """Give vertex `w` the count-matrix column `new`, in `labels` and `counts`.
 
-    w's neighbors are distinct, so each of its count entries changes once,
-    by plain fancy indexing. Returns the flat indices of the entries it
-    changed, as `_relabel` does.
+    Column -1 (uncolored) is not counted, on either side. w's neighbors are
+    distinct, so each of its count entries changes once, by plain fancy
+    indexing. Returns the flat indices (row * ncols + col) of the entries
+    it changed.
     """
     old = int(labels[w])
     labels[w] = new
     slots = g.neighbors(w) * counts.shape[1]
     flat = counts.reshape(-1)  # a view: counts is C-contiguous
-    inc = slots + new
+    dec, inc = slots + old, slots + new
+    if old >= 0:
+        flat[dec] -= 1
+    if new < 0:
+        return dec
     flat[inc] += 1
-    if old < 0:  # uncolored: not counted
-        return inc
-    dec = slots + old
-    flat[dec] -= 1
-    return np.concatenate((dec, inc))
+    return np.concatenate((dec, inc)) if old >= 0 else inc
+
+
+def _redraw(g: Graph, counts: np.ndarray, labels: np.ndarray,
+            verts: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Give the distinct `verts` the columns `new`: one `_move` per vertex
+    whose column changes. Returns the flat indices the moves changed."""
+    moved = labels[verts] != new
+    return np.concatenate([_move(g, counts, labels, u, x) for u, x in
+                           zip(verts[moved].tolist(), new[moved].tolist())]
+                          or [np.empty(0, dtype=np.int64)])
 
 
 def _least_collateral(g: Graph, counts: np.ndarray, labels: np.ndarray,
-                      cand: np.ndarray, limits: np.ndarray) -> int:
+                      cand: np.ndarray, lo: np.ndarray) -> int:
     """The candidate whose move out of its column breaks the fewest entries.
 
     Moving w out of column c decrements counts[u, c] for each neighbor u of
-    w; an entry counts as broken when it held at most `limits[c]`. Ties go
-    to the first candidate, and one that breaks nothing ends the search.
+    w; an entry counts as broken when it held at most `lo[c]`, the bottom of
+    its window. Ties go to the first candidate, and one that breaks nothing
+    ends the search.
     """
     best_w, best_score = -1, None
     for w in cand.tolist():
         c = int(labels[w])
-        created = (np.count_nonzero(counts[g.neighbors(w), c] <= limits[c])
+        created = (np.count_nonzero(counts[g.neighbors(w), c] <= lo[c])
                    if c >= 0 else 0)  # leaving "uncolored" changes no count
         if best_score is None or created < best_score:
             best_w, best_score = w, created
@@ -220,21 +202,43 @@ def _least_collateral(g: Graph, counts: np.ndarray, labels: np.ndarray,
     return best_w
 
 
-class _BadEvents:
-    """The violated entries of a count matrix, kept current shift by shift.
+def _repair(g: Graph, counts: np.ndarray, labels: np.ndarray, v: int,
+            col: int, group: np.ndarray, others: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray | None:
+    """Move one vertex of `group` to bring counts[v, col] toward its window.
 
-    `test(values, flat)` says which entries at flat indices `flat`, holding
-    `values`, violate their bounds. One full test seeds the flags; after
-    that `update` re-tests only the entries a shift touched. Violated
-    indices sit in a min-heap whose stale entries are dropped lazily, so
-    `lowest` returns the first violated index a full rescan would find.
+    At or above hi[col], a vertex in `col` moves out, into the column of
+    `others` where v has the fewest neighbors (the first on ties); below
+    lo[col], a vertex outside `col` moves in. `_least_collateral` picks
+    which. Returns the flat indices of the count entries the move changed,
+    or None when no vertex of `group` can move.
+    """
+    if counts[v, col] >= hi[col]:
+        cand = group[labels[group] == col]
+        target = int(others[np.argmin(counts[v, others])])
+    else:
+        cand = group[labels[group] != col]
+        target = col
+    if cand.size == 0:
+        return None
+    return _move(g, counts, labels,
+                 _least_collateral(g, counts, labels, cand, lo), target)
+
+
+class _BadEvents:
+    """The count entries outside their column's window, kept current.
+
+    Entry (v, c) holding x is violated when x < lo[c] or x >= hi[c]. One
+    full test seeds the flags; after that `update` re-tests only the entries
+    a move touched. Violated indices sit in a min-heap whose stale entries
+    are dropped lazily, so `lowest` returns the first violated index a full
+    rescan would find.
     """
 
-    def __init__(self, counts: np.ndarray,
-                 test: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    def __init__(self, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self._flat = counts.reshape(-1)  # a view: counts is C-contiguous
-        self._test = test
-        self._flags = test(self._flat, np.arange(self._flat.size))
+        self._lo, self._hi = lo, hi
+        self._flags = ((counts < lo) | (counts >= hi)).reshape(-1)
         self._heap = np.flatnonzero(self._flags).tolist()  # sorted: a heap
 
     def lowest(self) -> int | None:
@@ -246,9 +250,8 @@ class _BadEvents:
 
     def update(self, touched: np.ndarray) -> None:
         """Re-test the entries at `touched` after their counts changed."""
-        if touched.size == 0:
-            return
-        now = self._test(self._flat[touched], touched)
+        x, col = self._flat[touched], touched % self._lo.size
+        now = (x < self._lo[col]) | (x >= self._hi[col])
         # an index repeated in `touched` may be pushed twice; `lowest` skips
         # the copy left behind once it is cleared
         for idx in touched[now & ~self._flags[touched]].tolist():
@@ -296,18 +299,13 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
     b_prob, p1 = params.b_prob, params.p1
     cols = _draw_columns(rng, n, b_prob, p1, r1)
     lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (ncols,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (ncols,))
-    # an integer count x falls below lo on a decrement iff x - 1 < lo,
-    # that is iff x <= ceil(lo)
-    limits = np.ceil(lo)
+    # lo <= x <= hi for an integer count x is ceil(lo) <= x < floor(hi) + 1
+    lo = np.broadcast_to(np.ceil(np.asarray(lo, dtype=float)), (ncols,))
+    hi = np.broadcast_to(np.floor(np.asarray(hi, dtype=float)) + 1, (ncols,))
     counts = _neighbor_counts(g, cols, ncols)
-
-    def out_of_bounds(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        col = flat % ncols
-        return (x < lo[col]) | (x > hi[col])
-
-    events = _BadEvents(counts, out_of_bounds)
+    events = _BadEvents(counts, lo, hi)
+    # where a repair may move a vertex out of column c: any other column
+    others = [np.flatnonzero(np.arange(ncols) != c) for c in range(ncols)]
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
     while (idx := events.lowest()) is not None:
@@ -318,26 +316,16 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
                 f"stage one: {events.count()} bad events after {cap} resamples")
         w = g.neighbors(v)
         if params.mode == "theory":
-            events.update(_relabel(g, counts, cols, w,
-                                   _draw_columns(rng, w.size, b_prob, p1, r1)))
+            new = _draw_columns(rng, w.size, b_prob, p1, r1)
+            events.update(_redraw(g, counts, cols, w, new))
             continue
-        if counts[v, col] > hi[col]:
-            # move one neighbor out of the crowded column into v's emptiest
-            # other one
-            cand = w[cols[w] == col]
-            target = int(np.argmin(np.where(np.arange(ncols) == col, inf,
-                                            counts[v])))
-        else:
-            cand = w[cols[w] != col]
-            target = col
-        if cand.size == 0:
+        touched = _repair(g, counts, cols, v, col, w, others[col], lo, hi)
+        if touched is None:
             raise ResampleBudgetExhausted(
                 f"stage one: event (v={v}, column={col}) has no movable "
                 f"neighbor, {events.count()} bad events after "
                 f"{resamples - 1} repairs")
-        events.update(_move(g, counts, cols,
-                            _least_collateral(g, counts, cols, cand, limits),
-                            target))
+        events.update(touched)
     return ColorAssignment(c1=_stage_one_labels(cols, r1), c2=None, r1=r1,
                            r2=params.r2, resamples=resamples)
 
@@ -366,66 +354,44 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
     d_star = r1 * r2
     rng = rng_for(seed, _STAGE2_TAG)
     c1 = stage1.c1
-    c2 = rng.integers(0, r2, size=n).astype(np.int32)
-    c2[c1 < 0] = -1
-    lo, hi = thresholds if thresholds is not None else stage_two_thresholds(params)
-
-    labels = c1.astype(np.int64) * r2 + c2
+    # each vertex's class c*r2 + c', or -1 outside the colors
+    labels = c1.astype(np.int64) * r2 + rng.integers(0, r2, size=n)
     labels[c1 < 0] = -1
+    lo, hi = thresholds if thresholds is not None else stage_two_thresholds(params)
+    # lo < x < hi for an integer count x is floor(lo) + 1 <= x < ceil(hi)
+    lo = np.full(d_star, np.floor(lo) + 1)
+    hi = np.full(d_star, np.ceil(hi))
     counts = _neighbor_counts(g, labels, d_star)
-    events = _BadEvents(counts, lambda x, flat: (x <= lo) | (x >= hi))
-    # bad iff count <= lo, so a decrement breaks every entry at most lo + 1
-    limits = np.full(d_star, lo + 1)
+    events = _BadEvents(counts, lo, hi)
+    blocks = np.arange(d_star).reshape(r1, r2)  # the classes of each color
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
     while (idx := events.lowest()) is not None:
-        v, cls = idx // d_star, idx % d_star
+        v, cls = divmod(idx, d_star)
         c = cls // r2
         resamples += 1
         if resamples > cap:
             raise ResampleBudgetExhausted(
                 f"stage two: {events.count()} bad events after {cap} resamples")
-        nbrs = g.neighbors(v).astype(np.int64)
+        nbrs = g.neighbors(v)
         members = nbrs[c1[nbrs] == c]
         if members.size == 0:
             raise ResampleBudgetExhausted(
                 f"stage two: event (v={v}, class={cls}) has no {c}-colored "
                 f"neighbors to resample")
         if params.mode == "theory":
-            c2[members] = rng.integers(0, r2, size=members.size).astype(np.int32)
-            events.update(_relabel(g, counts, labels, members,
-                                   c * r2 + c2[members].astype(np.int64)))
-        else:
-            events.update(_repair_event(g, counts, labels, c2, members, c, cls,
-                                        r2, int(counts[v, cls]) >= hi, limits, v))
+            new = c * r2 + rng.integers(0, r2, size=members.size)
+            events.update(_redraw(g, counts, labels, members, new))
+            continue
+        touched = _repair(g, counts, labels, v, cls, members, blocks[c], lo, hi)
+        if touched is None:
+            raise ResampleBudgetExhausted(
+                f"stage two: event (v={v}, class={cls}) has no movable neighbor")
+        events.update(touched)
+    c2 = (labels % r2).astype(np.int32)
+    c2[labels < 0] = -1
     return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
                            resamples=stage1.resamples + resamples)
-
-
-def _repair_event(g: Graph, counts: np.ndarray, labels: np.ndarray,
-                  c2: np.ndarray, members: np.ndarray, c: int, cls: int,
-                  r2: int, overfull: bool, limits: np.ndarray,
-                  v: int) -> np.ndarray:
-    """Flip one second-stage label to move counts[v, cls] toward its band.
-
-    The flipped vertex is the candidate whose relabeling drops the fewest
-    neighborhood counts to the lower threshold (ties to lowest id), so
-    repairs rarely spawn new violations. Returns the flat indices of the
-    count entries the flip changed, as `_move` does.
-    """
-    if overfull:
-        cand = members[c2[members] == cls % r2]
-        # move one vertex out of the crowded class into v's emptiest class
-        target = int(np.argmin(counts[v, c * r2:(c + 1) * r2]))
-    else:
-        cand = members[c2[members] != cls % r2]
-        target = cls % r2
-    if cand.size == 0:
-        raise ResampleBudgetExhausted(
-            f"stage two: event (v={v}, class={cls}) has no movable neighbor")
-    w = _least_collateral(g, counts, labels, cand, limits)
-    c2[w] = target
-    return _move(g, counts, labels, w, c * r2 + target)
 
 
 def build_family(g: Graph, stage2_out: ColorAssignment,
@@ -449,14 +415,15 @@ def build_family(g: Graph, stage2_out: ColorAssignment,
     sets = [np.flatnonzero(labels == i).tolist() for i in range(d_star)]
 
     # property: every vertex has at least b_prob*d/2 neighbors in the reservoir
-    counts = _neighbor_counts(g, _column_labels(c1, r1), r1 + 1)
+    in_reservoir = c1[g.indices] == RESERVOIR
+    res_counts = np.bincount(g.row_index[in_reservoir], minlength=n)
     res_need = params.b_prob * params.d / 2
-    short = np.flatnonzero(counts[:, r1] < res_need)
+    short = np.flatnonzero(res_counts < res_need)
     if short.size:
         v = int(short[0])
         raise PostconditionViolation(
             "reservoir-degree", witness=v,
-            detail=f"vertex {v} has {int(counts[v, r1])} reservoir neighbors, "
+            detail=f"vertex {v} has {int(res_counts[v])} reservoir neighbors, "
                    f"needs >= {res_need:.3f}")
 
     # properties: every class dominates (member or neighbor in every class),

@@ -224,10 +224,8 @@ def spanning_certificate(g: Graph, members: list[int]) -> list[tuple[int, int]]:
         parent = np.repeat(frontier, g.degrees[frontier])
         fresh = in_set[found]
         found, parent = found[fresh], parent[fresh]
-        order = np.argsort(found, kind="stable")
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = found[order[1:]] != found[order[:-1]]
-        claim = np.sort(order[first])  # first discoveries, in scan order
+        # first discoveries, in scan order
+        claim = np.sort(np.unique(found, return_index=True)[1])
         frontier, parent = found[claim], parent[claim]
         in_set[frontier] = False
         reached += frontier.size

@@ -226,6 +226,14 @@ def assert_stages_match_reference(g, pars, seed, th1=None, th2=None):
     return a1, a2
 
 
+def seed_cases(plain, **named):
+    """pytest params (seed, *case) for seeds 1-3: the `plain` case under the
+    ids 1-3, and each named case under the ids name-1 to name-3."""
+    return [pytest.param(seed, *case, id=f"{name}-{seed}" if name else str(seed))
+            for name, case in [("", plain), *named.items()]
+            for seed in (1, 2, 3)]
+
+
 def bad_event_count(exc_info) -> int:
     found = re.search(r"(\d+) bad events after", str(exc_info.value))
     assert found, str(exc_info.value)
@@ -286,27 +294,34 @@ def test_non_regular_graph_matches_full_rescan(seed):
     assert a1.resamples > 0 and a2.resamples > a1.resamples
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_finite_upper_bound_matches_full_rescan(seed):
+# E = 10.08 per color and 3.84 for the reservoir: windows around them that
+# the first draw leaves on both sides, in every seed used here; the
+# fractional ones check the conversion of float bounds to integer windows
+@pytest.mark.parametrize("seed,th1,th2", seed_cases(
+    ((np.array([4.0, 4.0, 1.0]), np.array([16.0, 16.0, 8.0])), (0.0, 12.0)),
+    fractional=((np.array([3.5, 3.5, 0.5]), np.array([16.5, 16.5, 8.5])),
+                (0.5, 12.5))))
+def test_finite_upper_bound_matches_full_rescan(seed, th1, th2):
     g = random_regular(400, 24, seed)
     pars = theory_params(400, 24)
-    # E = 10.08 per color and 3.84 for the reservoir: windows around them
-    # that the first draw leaves on both sides, in every seed used here
-    th1 = (np.array([4.0, 4.0, 1.0]), np.array([16.0, 16.0, 8.0]))
-    a1, _ = assert_stages_match_reference(g, pars, seed, th1, (0.0, 12.0))
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1, th2)
     counts = _neighbor_counts(g, column_labels(a1.c1, pars.r1), pars.r1 + 1)
     assert (counts <= th1[1]).all()
     assert a1.resamples > 0
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_uncolored_vertices_match_full_rescan(seed):
+# theory: b_prob + r1 * p1 = 0.86, so about one vertex in seven draws no
+# label, and its moves in and out of the uncolored state change no count.
+# practice (r1 = 1): about half the vertices draw no label, and stage one's
+# repairs move some of them into a column
+@pytest.mark.parametrize("seed,pars,th1,th2", seed_cases(
+    (replace(theory_params(400, 24), p1=0.35),
+     (np.array([3.0, 3.0, 1.0]), np.array([16.0, 16.0, 8.0])), (0.0, 12.0)),
+    practice=(replace(practice_params(400, 24), p1=0.35),
+              (np.array([3.0, 1.0]), np.full(2, np.inf)), (-1.0, np.inf))))
+def test_uncolored_vertices_match_full_rescan(seed, pars, th1, th2):
     g = random_regular(400, 24, seed)
-    # b_prob + r1 * p1 = 0.86: about one vertex in seven draws no label, and
-    # its moves in and out of the uncolored state change no count
-    pars = replace(theory_params(400, 24), p1=0.35)
-    th1 = (np.array([3.0, 3.0, 1.0]), np.array([16.0, 16.0, 8.0]))
-    a1, _ = assert_stages_match_reference(g, pars, seed, th1, (0.0, 12.0))
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1, th2)
     assert (a1.c1 == UNCOLORED).any()
 
 
@@ -353,19 +368,21 @@ def test_stage_one_impossible_thresholds_exhaust():
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_practice_over_bound_matches_full_rescan(seed):
+# finite upper bounds in practice mode, around E = 20.16 colored and 3.84
+# reservoir neighbors: the first draw leaves counts on both sides, so
+# repairs move neighbors out of a column as well as into one; the
+# fractional bounds check the conversion of floats to integer windows
+@pytest.mark.parametrize("seed,th1,th2", seed_cases(
+    ((np.array([18.0, 1.0]), np.array([23.0, 7.0])), None),
+    fractional=((np.array([17.5, 0.5]), np.array([23.5, 7.5])), (0.5, 14.5))))
+def test_practice_over_bound_matches_full_rescan(seed, th1, th2):
     g = random_regular(400, 24, seed)
     pars = practice_params(400, 24)
     assert pars.r1 == 1
-    # finite upper bounds in practice mode, around E = 20.16 colored and
-    # 3.84 reservoir neighbors: the first draw leaves counts on both sides,
-    # so repairs move neighbors out of a column as well as into one
-    th1 = (np.array([18.0, 1.0]), np.array([23.0, 7.0]))
     branches = []
     reference_stage_one(g, pars, seed, thresholds=th1, branches=branches)
     assert {"over", "under"} <= set(branches)
-    a1, _ = assert_stages_match_reference(g, pars, seed, th1)
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1, th2)
     counts = _neighbor_counts(g, column_labels(a1.c1, pars.r1), pars.r1 + 1)
     assert ((counts >= th1[0]) & (counts <= th1[1])).all()
     assert a1.resamples == len(branches)
