@@ -17,11 +17,10 @@ import sys
 import time
 
 from . import connector, generators, pipeline, spectral, verifier
-from .errors import (BudgetExceeded, CdsPackError, EigenConvergenceError,
-                     GenerationError, GraphFormatError, InfeasibleParameters,
-                     NonRegularGraph, PackingFormatError,
-                     PostconditionViolation, ResampleBudgetExhausted,
-                     VerificationFailed, error_body)
+from .errors import (CdsPackError, EigenConvergenceError, GenerationError,
+                     GraphFormatError, InfeasibleParameters, NonRegularGraph,
+                     PackingFormatError, PostconditionViolation,
+                     ResampleBudgetExhausted, VerificationFailed, error_body)
 from .graph import load_graph, save_graph
 
 EXIT_CODES = {
@@ -32,7 +31,6 @@ EXIT_CODES = {
     "infeasible": 4,       # InfeasibleParameters
     "resample": 5,         # ResampleBudgetExhausted
     "postcondition": 6,    # PostconditionViolation
-    "connect": 7,          # BudgetExceeded, theory mode only
     "verification": 8,     # VerificationFailed or target unmet
     "spectral": 9,         # NonRegularGraph / EigenConvergenceError (spectrum)
 }
@@ -43,7 +41,6 @@ _ERROR_CODE = {  # first match wins; JSONDecodeError is also a ValueError
     InfeasibleParameters: "infeasible",
     ResampleBudgetExhausted: "resample",
     PostconditionViolation: "postcondition",
-    BudgetExceeded: "connect",  # connect_family lists a NoCrossEdge set as failed
     VerificationFailed: "verification",
     (NonRegularGraph, EigenConvergenceError): "spectral",
     ValueError: "usage",  # an invalid numeric argument

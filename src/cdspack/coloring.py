@@ -211,9 +211,12 @@ def _repair(g: Graph, counts: np.ndarray, labels: np.ndarray, v: int,
     `others` where v has the fewest neighbors (the first on ties); below
     lo[col], a vertex outside `col` moves in. `_least_collateral` picks
     which. Returns the flat indices of the count entries the move changed,
-    or None when no vertex of `group` can move.
+    or None when no vertex of `group` can move, or no column of `others`
+    can take it.
     """
     if counts[v, col] >= hi[col]:
+        if others.size == 0:
+            return None
         cand = group[labels[group] == col]
         target = int(others[np.argmin(counts[v, others])])
     else:
@@ -363,7 +366,9 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
     hi = np.full(d_star, np.ceil(hi))
     counts = _neighbor_counts(g, labels, d_star)
     events = _BadEvents(counts, lo, hi)
-    blocks = np.arange(d_star).reshape(r1, r2)  # the classes of each color
+    # where a repair may move a vertex out of class k: its color's other classes
+    blocks = np.arange(d_star).reshape(r1, r2)
+    others = [row[row != k] for row in blocks for k in row.tolist()]
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
     resamples = 0
     while (idx := events.lowest()) is not None:
@@ -383,7 +388,7 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
             new = c * r2 + rng.integers(0, r2, size=members.size)
             events.update(_redraw(g, counts, labels, members, new))
             continue
-        touched = _repair(g, counts, labels, v, cls, members, blocks[c], lo, hi)
+        touched = _repair(g, counts, labels, v, cls, members, others[cls], lo, hi)
         if touched is None:
             raise ResampleBudgetExhausted(
                 f"stage two: event (v={v}, class={cls}) has no movable neighbor")

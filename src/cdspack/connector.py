@@ -12,29 +12,22 @@ thus gets k - 1 paths, each with its interior in the reservoir.
 The free-reservoir mask is shared across sets. A connected set's path
 interiors leave it for good, so each reservoir vertex is used by at most one
 path across the whole run; a set that cannot be joined takes none of them.
-
-Theory mode also holds the paths to the bounds the paper's proof gives them:
-at most s representatives in all, each path no longer than
-2 ln(n/k)/ln(D/2 - 1) + 1 when k classes are left, and at most s/2 path
-vertices in all. Practice mode has no m, D or s, and checks none of these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
 
 import numpy as np
 
 from .coloring import DominatingFamily
-from .errors import (BudgetExceeded, CdsPackError, NoCrossEdge, PackingFormatError,
-                     VerificationFailed)
-# unused here, but perfbench/trace_pack.py wraps these connector attributes
-from .graph import components_of, induced_subgraph  # noqa: F401
+from .errors import CdsPackError, NoCrossEdge, PackingFormatError, VerificationFailed
 from .graph import Graph, concat_neighbors, label_components
 from .params import PackingParams
-from .spectral import expansion_check
 from .verifier import VerificationReport, verify_packing
+# unused here, but perfbench/trace_pack.py wraps these connector attributes
+from .graph import components_of, induced_subgraph  # noqa: F401
+from .spectral import expansion_check  # noqa: F401
 
 # perfbench/trace_pack.py wraps these names of the former tree forest; never called
 attach_tree = rollback = add_edge = None
@@ -47,7 +40,11 @@ class PathRecord:
     endpoints: tuple[int, int]
     internal: list[int]
     set_index: int
-    length: int
+
+    @property
+    def length(self) -> int:
+        """Edges on the path: one more than its internal vertices."""
+        return len(self.internal) + 1
 
     def to_json(self) -> dict:
         return {
@@ -90,12 +87,10 @@ class CdsPacking:
         for p in _items(data.get("paths", []), "paths"):
             if not isinstance(p, dict):
                 raise PackingFormatError("each path must be a JSON object")
-            internal = _ints(p.get("internal"), "a path's internal vertices")
             paths.append(PathRecord(
                 endpoints=tuple(_ints(p.get("endpoints"), "a path's endpoints", 2)),
-                internal=internal,
+                internal=_ints(p.get("internal"), "a path's internal vertices"),
                 set_index=_ints([p.get("set")], "a path's set index")[0],
-                length=len(internal) + 1,
             ))
         return cls(params=data.get("params"), sets=sets, certificates=certs,
                    paths=paths)
@@ -154,21 +149,15 @@ def _shortest_join(g: Graph, sources: np.ndarray, cls: np.ndarray,
     return None
 
 
-def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
-                params: PackingParams) -> list[PathRecord]:
+def connect_one(g: Graph, members: list[int], free: np.ndarray,
+                set_index: int) -> list[PathRecord]:
     """Join the components of one set by shortest free-reservoir paths.
 
     `free` marks the reservoir vertices that no earlier set's path uses; it
     is only read. Each round joins the smallest class to its nearest one, so
-    there is one class fewer per round. In theory mode each path must meet
-    the length bound for the classes left. Raises NoCrossEdge when a class
-    can reach no other.
+    there is one class fewer per round. Raises NoCrossEdge when a class can
+    reach no other.
     """
-    theory = params.mode == "theory"
-    if theory:
-        arity = params.D // 2 - 1
-        if arity < 2:
-            raise CdsPackError(f"D = {params.D} gives tree arity {arity} < 2")
     lab = label_components(g, [members])
     order = np.argsort(lab.root, kind="stable")
     roots, vertices = lab.root[order], lab.vertex[order]
@@ -179,8 +168,6 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
         cls[vs] = c
     records: list[PathRecord] = []
     while len(classes) > 1:
-        if theory:
-            bound = 2 * log(params.n / len(classes)) / log(arity) + 1
         c = min(classes, key=lambda c: (classes[c].size, classes[c][0]))
         path = _shortest_join(g, classes[c], cls, free)
         if path is None:
@@ -192,15 +179,10 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray, set_index: int,
             [classes.pop(c), np.array(internal, dtype=np.int64), classes.pop(other)]))
         cls[joined] = c
         classes[c] = joined
-        length = len(internal) + 1
-        if theory and length > bound:
-            raise CdsPackError(
-                f"path length {length} exceeds bound {bound:.3f} in theory mode")
         records.append(PathRecord(
             endpoints=(path[0], path[-1]),
             internal=internal,
             set_index=set_index,
-            length=length,
         ))
     return records
 
@@ -244,17 +226,11 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     sound, just smaller). A set whose connection fails is left out of the
     packing and listed in `meta["failed_sets"]`; its paths take no reservoir
     vertex from the sets after it. Each packing returned, even an empty one,
-    carries its one `verify_packing` report.
+    carries its one `verify_packing` report. `params` is only carried into
+    the packing.
     """
     reps = choose_representatives(g, family)
     count = len(reps) if max_sets is None else min(len(reps), max_sets)
-    chosen = list(range(count))
-    x_union = sorted({v for i in chosen for v in reps[i]})
-    if params.mode == "theory" and len(x_union) > params.s:
-        raise BudgetExceeded(
-            f"{len(x_union)} representatives exceed budget s = {params.s}")
-    certified = bool(chosen) and _certify_expansion(g, family, params, x_union)
-
     free = np.zeros(g.n, dtype=bool)
     free[family.reservoir] = True
     sets_out: list[list[int]] = []
@@ -263,11 +239,11 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     connected_sets: list[int] = []
     failed_sets: list[int] = []
     total_internal = 0
-    for i in chosen:
+    for i in range(count):
         recs: list[PathRecord] = []
         if family.component_counts[i] > 1:
             try:
-                recs = connect_one(g, family.sets[i], free, i, params)
+                recs = connect_one(g, family.sets[i], free, i)
             except NoCrossEdge:
                 failed_sets.append(i)
                 continue
@@ -286,17 +262,12 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
         paths_out.extend(recs)
         connected_sets.append(i)
 
-    if params.mode == "theory" and total_internal > params.s / 2:
-        raise BudgetExceeded(
-            f"total path vertices {total_internal} exceed s/2 = {params.s / 2}")
-
     return _verified(g, CdsPacking(
         params=params, sets=sets_out, certificates=certs, paths=paths_out,
         meta={
             "family_indices": connected_sets,
             "failed_sets": failed_sets,
             "total_internal": total_internal,
-            "expansion_certified": certified,
         },
     ))
 
@@ -306,26 +277,3 @@ def _verified(g: Graph, packing: CdsPacking) -> CdsPacking:
     if packing.verification.failures:
         raise VerificationFailed(packing.verification)
     return packing
-
-
-def _certify_expansion(g: Graph, family: DominatingFamily, params: PackingParams,
-                       x_union: list[int]) -> bool:
-    """Run the seed-set expansion check when its preconditions are in reach."""
-    k = params.d / (36 * params.lambda_used) if params.lambda_used > 0 else 0.0
-    if k <= 1 or len(x_union) > g.n / (12 * k):
-        if params.mode == "theory":
-            raise CdsPackError(
-                "expansion check preconditions unsatisfiable "
-                f"(k = {k:.4f}); cannot certify the seed forest")
-        return False
-    eps_eff = min(1.0, 1.5 * params.b_prob)
-    try:
-        report = expansion_check(g, family.reservoir, x_union, eps_eff, k)
-    except ValueError:
-        if params.mode == "theory":
-            raise
-        return False
-    if params.mode == "theory" and not report.passed:
-        raise CdsPackError(f"expansion check failed: ratio {report.ratio:.3f} "
-                           f"< {report.threshold:.3f}")
-    return bool(report.passed)

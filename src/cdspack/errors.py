@@ -52,10 +52,6 @@ class PostconditionViolation(CdsPackError):
         super().__init__(msg)
 
 
-class BudgetExceeded(CdsPackError):
-    """Theory mode's connector exceeds its budget: s representatives or s/2 path vertices."""
-
-
 class NoCrossEdge(CdsPackError):
     """A class of a set reaches no other class through free reservoir vertices."""
 

@@ -365,3 +365,14 @@ def test_failed_coloring_reports_its_attempts(capsys, monkeypatch, name, exc,
     assert report["error"]["phase"] == "coloring"
     assert report["error"]["type"] == type(exc).__name__
     assert report["coloring_attempts"] == attempts
+
+
+def test_readme_exit_code_table_matches_exit_codes():
+    lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| code | meaning |")
+    codes = set()
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        codes.add(int(line.split("|")[1]))
+    assert codes == set(EXIT_CODES.values())

@@ -69,8 +69,10 @@ def shift_counts(g, counts, verts, old, new):
 
 def repair_event(g, counts, labels, c2, members, c, cls, r2, overfull, lo, v):
     if overfull:
-        cand = members[c2[members] == cls % r2]
-        target = int(np.argmin(counts[v, c * r2:(c + 1) * r2]))
+        # out into the emptiest other class of color c, ties to the lowest
+        others = [x for x in range(r2) if x != cls % r2]
+        cand = members[c2[members] == cls % r2] if others else members[:0]
+        target = min(others, key=lambda x: (counts[v, c * r2 + x], x), default=None)
     else:
         cand = members[c2[members] != cls % r2]
         target = cls % r2
@@ -459,6 +461,22 @@ def test_stage_two_impossible_band_exhausts(mode):
     assert "after 40 resamples" in str(got.value)
     assert bad_event_count(got) == bad_event_count(want) > 0
     assert str(got.value) == str(want.value)
+
+
+def test_stage_two_single_class_color_cannot_repair_overfull():
+    # with r2 = 1 an over-full class has no other class of its color to move
+    # a vertex into: the repair stops at the first event rather than spin
+    g = random_regular(300, 12, 4)
+    pars = PackingParams(epsilon=0.4, d_star=2, r1=2, r2=1, p1=0.42, p2=1.0,
+                         b_prob=0.16, mode="practice", n=300, d=12)
+    a1 = stage_one(g, pars, 2, thresholds=(np.zeros(3), np.full(3, np.inf)))
+    th = (-1.0, 1.0)
+    with pytest.raises(ResampleBudgetExhausted) as got:
+        stage_two(g, a1, pars, 2, thresholds=th, max_resamples=40)
+    with pytest.raises(ResampleBudgetExhausted) as want:
+        reference_stage_two(g, a1, pars, 2, thresholds=th, max_resamples=40)
+    assert str(got.value) == str(want.value) == (
+        "stage two: event (v=0, class=0) has no movable neighbor")
 
 
 def test_stage_two_preserves_stage_one():

@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 
 from cdspack import (Graph, choose_representatives, complete_graph,
                      connect_family, derive_params, random_regular,
                      verify_packing, build_family, stage_one, stage_two)
 from cdspack.coloring import DominatingFamily
-from cdspack.connector import connect_one, spanning_certificate
+from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError
 from cdspack.params import PackingParams
 
@@ -257,16 +256,6 @@ def test_practice_params_without_m_d_s_stitch():
     packing = connect_family(g, fam, pars)
     assert [p.endpoints for p in packing.paths] == [(0, 10)]
     assert verify_packing(g, packing, target=1).failures == []
-
-
-def test_arity_guard():
-    # theory mode keeps the guard: D = 4 gives tree arity 1
-    g, reservoir = two_cliques_with_reservoir()
-    free = np.zeros(g.n, dtype=bool)
-    free[reservoir] = True
-    pars = crafted_params(mode="theory", m=1, D=4, s=35)
-    with pytest.raises(CdsPackError, match="arity 1 < 2"):
-        connect_one(g, [0, 10], free, 0, pars)
 
 
 def test_spanning_certificate_shape():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cdspack import derive_params
@@ -86,3 +87,19 @@ def test_json_round_trip_keys():
                              "b_prob", "m", "D", "s", "mode", "n", "d",
                              "lambda_used", "d_star_target", "warnings"}
         assert (blob["m"], blob["D"], blob["s"]) == (pars.m, pars.D, pars.s)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.9, 0.999])
+def test_theory_grid_outgrows_the_degree_wherever_the_gate_passes(epsilon):
+    # lambda = 1 is the least lambda of a graph with an edge, and n = d + 1
+    # the least n. The gate needs D >= 3, so d >= 108 / epsilon^4 > 108, and
+    # then d_star >= r2 = round(ln^5 d) > d up to d = 332104: stage two's
+    # band asks each vertex to see d_star classes with d neighbours, so no
+    # theory run at these degrees colours its way to the connector
+    grid = set(np.geomspace(3, 332104, 400).astype(int).tolist())
+    for d in sorted(grid | {108, 109, 110, 332104}):
+        try:
+            pars = derive_params(d + 1, d, 1.0, epsilon, "theory")
+        except InfeasibleParameters:
+            continue
+        assert pars.d_star > d, (d, pars.d_star)
