@@ -18,11 +18,12 @@ mode the same way:
   practice - minimum-collateral repair: move one of those vertices into the
              short column or, for a count at or above hi, out of the crowded
              one into v's emptiest other column (in stage two, v's emptiest
-             class of color c, which may be the crowded class itself). The
-             vertex moved is the candidate whose move drops the fewest count
-             entries below their window, ties to the lowest id. At desk scale
-             a resample breaks about as many events as it fixes, so
-             resampling may never settle; a one-vertex repair does.
+             other class of color c; a color with one class cannot repair
+             an over-full event). The vertex moved is the candidate whose
+             move drops the fewest count entries below their window, ties
+             to the lowest id. At desk scale a resample breaks about as many
+             events as it fixes, so resampling may never settle; a
+             one-vertex repair does.
 Every count update is one vertex changing column (`_move`): a resample moves
 only the vertices whose label changed. Only the count entries of a moved
 vertex's neighbors are re-tested, and the next event is still the lowest

@@ -10,14 +10,17 @@ Vertex sets are plain sorted duplicate-free lists of ints. Any iterable of
 ints is accepted on input and normalized.
 
 Construction, set-level operations and the edge-list loader run as numpy
-array passes: the CSR comes from one sort of the directed edge keys, and
-`load_graph` tokenises the whole file at once, then finds the first bad line
-in file order with array masks. `label_components` finds the components
-and closed neighbourhoods of many sets at once, one (set, vertex) item per
-membership, by min-label propagation with pointer jumping; `components_of`
-is its one-set form. A call on a few sets of a tiny graph is a few dozen
-numpy calls, cheap enough for exhaustive checks of small graphs to make one
-per packing.
+array passes: the CSR comes from one sort of the directed edge keys. A file
+in the plain layout that `save_graph` writes (`u v` and one LF per line) is
+checked by a few byte masks and parsed in one C pass; any other layout, and
+every file the loader rejects, goes through the general path, which
+tokenises the whole body at once and finds the first bad line in file order
+with array masks. The format and the messages are the same on both paths.
+`label_components` finds the components and closed neighbourhoods of many
+sets at once, one (set, vertex) item per membership, by min-label
+propagation with pointer jumping; `components_of` is its one-set form. A
+call on a few sets of a tiny graph is a few dozen numpy calls, cheap enough
+for exhaustive checks of small graphs to make one per packing.
 """
 
 from __future__ import annotations
@@ -324,18 +327,33 @@ def _int_tokens(body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return starts, ends, values, valid
 
 
-def load_graph(path) -> Graph:
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head, _, body = data.partition(b"\n")
-    header = head.decode("utf-8", errors="replace").split()
-    if len(header) != 2:
-        raise GraphFormatError("expected header line 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header: {exc}") from None
+def _plain_edges(body: bytes, n: int, m: int) -> np.ndarray | None:
+    """The (m, 2) edge rows of a body in the plain layout, else None.
 
+    The plain layout is what `save_graph` and `cdspack gen` write: m lines
+    `u v` of digits, one space and one LF each, tokens of at most
+    _MAX_DIGITS digits, and 0 <= u < v < n. Such a body is parsed in one C
+    pass. Any other body, and a plain one that breaks a value rule, gets
+    None and goes to the general path, which names its first bad line.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    breaks = np.flatnonzero(buf - np.uint8(ord("0")) > 9)  # wraps below "0"
+    if m <= 0 or breaks.size != 2 * m or breaks[-1] != buf.size - 1:
+        return None
+    lens = np.diff(breaks, prepend=-1) - 1  # every token's length
+    if (lens.min() < 1 or lens.max() > _MAX_DIGITS
+            or np.any(buf[breaks[0::2]] != ord(" "))
+            or np.any(buf[breaks[1::2]] != ord("\n"))):
+        return None
+    edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(m, 2)
+    if np.any(edges[:, 0] >= edges[:, 1]) or np.any(edges[:, 1] >= n):
+        return None
+    return edges
+
+
+def _checked_edges(body: bytes, n: int, m: int) -> np.ndarray:
+    """The (m, 2) edge rows of a body in any accepted layout; raises
+    GraphFormatError naming the first bad line in file order."""
     starts, ends, values, valid = _int_tokens(body)
     newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
     line = np.searchsorted(newlines, starts)  # 0 is the file's line 2
@@ -363,12 +381,30 @@ def load_graph(path) -> Graph:
         raise GraphFormatError(f"line {malformed[0] + 2}: expected 'u v'")
     if u.size != m:
         raise GraphFormatError(f"header promises {m} edges, file has {u.size}")
-    return Graph(n, np.column_stack([u, v]))
+    return np.column_stack([u, v])
+
+
+def load_graph(path) -> Graph:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, _, body = data.partition(b"\n")
+    header = head.decode("utf-8", errors="replace").split()
+    if len(header) != 2:
+        raise GraphFormatError("expected header line 'n m'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"bad header: {exc}") from None
+    edges = _plain_edges(body, n, m) if b"\r" not in raw else None  # CRs: not plain
+    if edges is None:
+        edges = _checked_edges(body, n, m)
+    return Graph(n, edges)
 
 
 def save_graph(g: Graph, path) -> None:
-    edges = g.edge_array()
+    # one format of the whole text and one write: formatting line by line
+    # costs several times more on graphs of a million edges
+    text = ("%d %d\n" * g.m) % tuple(g.edge_array().ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in edges.tolist():
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{g.n} {g.m}\n{text}")

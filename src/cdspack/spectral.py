@@ -208,10 +208,11 @@ def _deflated_adjacency(g: Graph, d: int):
     cols = np.ascontiguousarray(g.indices.reshape(g.n, d).T)
     buf = np.empty(g.n, dtype=np.float32)
 
+    # CSR indices lie in [0, n): "wrap" is the identity and skips bounds checks
     def apply(x: np.ndarray) -> np.ndarray:
-        y = x.take(cols[0])
+        y = x.take(cols[0], mode="wrap")
         for row in cols[1:]:
-            np.take(x, row, out=buf)
+            np.take(x, row, out=buf, mode="wrap")
             y += buf
         y -= np.float32(d * x.mean(dtype=np.float64))
         return y

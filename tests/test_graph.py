@@ -365,6 +365,17 @@ def _layouts():
     lines = [f"{u} {v}" for u, v in g.edge_array().tolist()]
     shuffled = [lines[i] for i in rng_for(3).permutation(len(lines))]
     head = f"{g.n} {g.m}"
+    pairs = [tuple(map(int, x.split())) for x in shuffled]
+
+    def plain(rows, m=g.m):
+        """Header `n m`, then each row and one LF."""
+        return f"{g.n} {m}\n" + "".join(f"{x}\n" for x in rows)
+
+    def edge_12(text):
+        """The shuffled plain body, its 12th edge line (line 13) replaced."""
+        return plain(shuffled[:11] + [text] + shuffled[12:])
+
+    u, v = pairs[11]
     return {
         "sorted": head + "\n" + "\n".join(lines) + "\n",
         "shuffled": head + "\n" + "\n".join(shuffled) + "\n",
@@ -374,6 +385,20 @@ def _layouts():
         "no-final-newline": head + "\n" + "\n".join(shuffled),
         "signs": head + "\n" + "\n".join("+" + x.replace(" ", " +0") for x in shuffled),
         "crlf-bad-line": head + "\r\n" + "\r\n".join(shuffled[:9] + ["7"]) + "\r\n",
+        # plain layout: one C pass, unless a value rule fails
+        "leading-zeros": plain(f"{a:03d} {b:05d}" for a, b in pairs),
+        "18-digit-tokens": plain(f"{a:018d} {b:018d}" for a, b in pairs),
+        "double-space": edge_12(f"{u}  {v}"),
+        "tab": edge_12(f"{u}\t{v}"),
+        "rejection-19-digit-token": edge_12(f"{u:019d} {v}"),
+        "rejection-18-digit-id": edge_12(f"{u} {10 ** 18 - 1}"),
+        "rejection-reversed": edge_12(f"{v} {u}"),
+        "rejection-self-loop": edge_12(f"{u} {u}"),
+        "rejection-out-of-range": edge_12(f"{u} {g.n}"),
+        "rejection-duplicate": plain(shuffled + [shuffled[5]], g.m + 1),
+        "rejection-count-mismatch": plain(shuffled[:-1]),
+        "rejection-one-token": edge_12(f"{u} "),
+        "rejection-unterminated-token": plain(shuffled) + "7",
         **{f"rejection-{i}": body for i, (body, _) in enumerate(REJECTIONS)},
     }
 
@@ -385,6 +410,43 @@ def test_loader_matches_reference(tmp_path, name):
     assert outcome(load_graph, path) == outcome(reference_load, path)
     if not name.startswith("rejection") and name != "crlf-bad-line":
         assert isinstance(outcome(load_graph, path), list)
+
+
+@pytest.mark.parametrize("name, general", [
+    ("sorted", False), ("shuffled", False), ("leading-zeros", False),
+    ("saved", False), ("crlf", True), ("blank-lines", True), ("signs", True),
+    ("trailing-space", True), ("double-space", True), ("tab", True),
+    ("rejection-reversed", True)])
+def test_only_the_plain_layout_skips_the_tokeniser(tmp_path, monkeypatch, name, general):
+    """A plain file is parsed without `_int_tokens`; every other layout, and a
+    plain file that breaks a value rule, goes through it."""
+    calls = []
+    real = graph._int_tokens
+
+    def counted(body):
+        calls.append(len(body))
+        return real(body)
+
+    monkeypatch.setattr(graph, "_int_tokens", counted)
+    path = tmp_path / "g.txt"
+    if name == "saved":
+        save_graph(random_regular(60, 4, 1), path)
+    else:
+        path.write_bytes(_layouts()[name].encode())
+    outcome(load_graph, path)
+    assert len(calls) >= 1 if general else calls == []
+
+
+@pytest.mark.parametrize("g", [random_regular(600, 8, 1), Graph(5, [])],
+                         ids=["regular-600-8", "no-edges"])
+def test_save_graph_matches_line_by_line_writer(tmp_path, g):
+    path, reference = tmp_path / "g.txt", tmp_path / "reference.txt"
+    save_graph(g, path)
+    with open(reference, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{g.n} {g.m}\n")
+        for u, v in g.edge_array().tolist():
+            fh.write(f"{u} {v}\n")
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_csr_build_matches_lexsort_reference():

@@ -150,6 +150,22 @@ def test_lanczos_precision_follows_tol(monkeypatch, tol, dtype):
     assert np.allclose(y, expected, rtol=0, atol=100 * np.finfo(dtype).eps)
 
 
+def test_deflated_adjacency_matches_bounds_checked_gathers():
+    """The "wrap" gathers give bit for bit the product of numpy's default,
+    bounds-checked take with the same order of additions, and that is A'x."""
+    g, d = random_regular(600, 8, 4), 8
+    x = rng_for(11).standard_normal(g.n).astype(np.float32)
+    cols = g.indices.reshape(g.n, d).T
+    reference = np.take(x, cols[0])
+    for row in cols[1:]:
+        reference += np.take(x, row)
+    reference -= np.float32(d * x.mean(dtype=np.float64))
+    y = spectral._deflated_adjacency(g, d)(x)
+    assert y.dtype == np.float32 and y.tobytes() == reference.tobytes()
+    expected = dense_adjacency(g) @ x.astype(np.float64) - d * x.astype(np.float64).mean()
+    assert np.allclose(y, expected, rtol=0, atol=100 * np.finfo(np.float32).eps)
+
+
 @pytest.mark.parametrize("d", [8, 64])
 def test_single_precision_lambda_and_residuals(monkeypatch, d):
     """pack's float32 Ritz value moves lambda by far less than the margin;
