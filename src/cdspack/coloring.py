@@ -4,47 +4,43 @@ Stage one assigns every vertex to the reservoir (probability b_prob), to one
 of r1 first-stage colors (probability p1 each), or leaves it uncolored (only
 possible through floating-point edge cases, since b_prob + r1*p1 = 1). Stage
 two refines each colored vertex with a uniform second-stage color in [r2].
+Those two draws are the only random numbers: every later step is fixed by
+the labels.
 
 Each stage keeps one count matrix, counts[v, c] = the neighbors of v in
 column c, and gives each column an integer window lo[c] <= x < hi[c]. Stage
 one's columns are the colors 0..r1-1 and the reservoir r1; stage two's are
 the d_star classes c*r2 + c'. An uncolored vertex sits in column -1, which
 is not counted. An entry outside its window is a bad event. Both stages loop
-while one is left, always fixing the lexicographically lowest, and split by
-mode the same way:
-  theory   - Moser-Tardos resampling: redraw the labels of every vertex the
-             event depends on (all of N(v) in stage one, v's c-colored
-             neighbors in stage two).
-  practice - minimum-collateral repair: move one of those vertices into the
-             short column or, for a count at or above hi, out of the crowded
-             one into v's emptiest other column (in stage two, v's emptiest
-             other class of color c; a color with one class cannot repair
-             an over-full event). The vertex moved is the candidate whose
-             move drops the fewest count entries below their window, ties
-             to the lowest id. At desk scale a resample breaks about as many
-             events as it fixes, so resampling may never settle; a
-             one-vertex repair does.
-Every count update is one vertex changing column (`_move`): a resample moves
-only the vertices whose label changed. Only the count entries of a moved
-vertex's neighbors are re-tested, and the next event is still the lowest
-violated one, exactly as a full rescan of the count matrix would pick it.
+while one is left, always fixing the lowest flat index (row-major) by a
+minimum-collateral repair: one of the vertices the event depends on (N(v)
+in stage one, v's c-colored neighbors in stage two) moves into the short
+column or, for a count at or above hi, out of the crowded one into v's
+emptiest other column (in stage two, v's emptiest other class of color c; a
+color with one class cannot repair an over-full event). The vertex moved is
+the candidate whose move drops the fewest count entries below their window,
+ties to the lowest id. Moser-Tardos resampling of the whole neighborhood
+breaks about as many events as it fixes at desk scale and may never settle;
+a one-vertex repair does. Every count update is one vertex changing column
+(`_move`). Only the count entries of the moved vertex's neighbors are
+re-tested, and the next event is still the lowest violated one, exactly as
+a full rescan of the count matrix would pick it.
 
 Thresholds are floats, turned into the integer windows above:
   stage one - inclusive bounds lo <= x <= hi, the window
-              [ceil(lo), floor(hi) + 1). Theory mode requires every count
-              inside [(1-eps/2)E, (1+eps/2)E] with E = p1*d for colors and
-              b_prob*d for the reservoir. Practice mode has one-sided lower
-              bounds only: reservoir counts must reach b_prob*d/2 (exactly
-              the bound the output contract needs) and color counts
+              [ceil(lo), floor(hi) + 1). The defaults are one-sided lower
+              bounds: reservoir counts must reach b_prob*d/2 (exactly the
+              bound the output contract needs) and color counts
               max(r2, p1*d/2) (enough for stage two to have room to work).
-              The two-sided windows have per-event failure probability near
-              1/2 at desk-scale d, so resampling would never terminate;
-              callers may still pass explicit thresholds.
-  stage two - the same strict band in both modes, lo < x < hi, the window
+              Callers may pass explicit two-sided thresholds.
+  stage two - the strict band lo < x < hi, the window
               [floor(lo) + 1, ceil(hi)): each (c, c') must appear in every
               neighborhood strictly more than eps^2 * ln d times and
               strictly fewer than 20 * ln d times. At desk scale the lower
               bound reduces to "at least once", which is exactly domination.
+
+Theory mode never reaches this module on a graph that fits in memory: its
+parameter gate rejects every degree below 332105 (see `params`).
 
 build_family labels all d_star classes in one `graph.label_components` call,
 which gives both whether each class dominates and the lowest vertex of each
@@ -80,8 +76,8 @@ class ColorAssignment:
 
     c1[v] is RESERVOIR, UNCOLORED, or a first-stage color in [0, r1).
     c2[v] is -1 until stage two assigns a second-stage color in [0, r2).
-    `resamples` counts the resample or repair steps of this stage and the
-    ones before it.
+    `resamples` counts the repair steps of this stage and the ones before
+    it.
     """
 
     c1: np.ndarray
@@ -172,16 +168,6 @@ def _move(g: Graph, counts: np.ndarray, labels: np.ndarray, w: int,
     return np.concatenate((dec, inc)) if old >= 0 else inc
 
 
-def _redraw(g: Graph, counts: np.ndarray, labels: np.ndarray,
-            verts: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Give the distinct `verts` the columns `new`: one `_move` per vertex
-    whose column changes. Returns the flat indices the moves changed."""
-    moved = labels[verts] != new
-    return np.concatenate([_move(g, counts, labels, u, x) for u, x in
-                           zip(verts[moved].tolist(), new[moved].tolist())]
-                          or [np.empty(0, dtype=np.int64)])
-
-
 def _least_collateral(g: Graph, counts: np.ndarray, labels: np.ndarray,
                       cand: np.ndarray, lo: np.ndarray) -> int:
     """The candidate whose move out of its column breaks the fewest entries.
@@ -270,20 +256,9 @@ class _BadEvents:
 def stage_one_thresholds(params: PackingParams) -> tuple[np.ndarray, np.ndarray]:
     """Default per-column (lo, hi) count bounds for stage one."""
     r1 = params.r1
-    e_color = params.p1 * params.d
-    e_res = params.b_prob * params.d
-    lo = np.empty(r1 + 1)
-    hi = np.empty(r1 + 1)
-    if params.mode == "theory":
-        lo[:r1] = (1 - params.epsilon / 2) * e_color
-        hi[:r1] = (1 + params.epsilon / 2) * e_color
-        lo[r1] = (1 - params.epsilon / 2) * e_res
-        hi[r1] = (1 + params.epsilon / 2) * e_res
-    else:
-        lo[:r1] = max(float(params.r2), e_color / 2)
-        lo[r1] = e_res / 2
-        hi[:] = inf
-    return lo, hi
+    lo = np.full(r1 + 1, max(float(params.r2), params.p1 * params.d / 2))
+    lo[r1] = params.b_prob * params.d / 2
+    return lo, np.full(r1 + 1, inf)
 
 
 def stage_one(g: Graph, params: PackingParams, seed: int,
@@ -292,16 +267,14 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
     """Stage-one coloring: reservoir / first-stage colors, with repair.
 
     Fixes the lowest violated (v, c) until every neighborhood count sits
-    inside its bounds: theory mode re-randomizes N(v), practice mode moves
-    one neighbor of v into or out of column c (see the module docstring).
-    `resamples` counts both kinds of step.
+    inside its bounds, each time by moving one neighbor of v into or out of
+    column c (see the module docstring). `resamples` counts the repairs.
     """
     n = g.n
     r1 = params.r1
     ncols = r1 + 1
-    rng = rng_for(seed, _STAGE1_TAG)
-    b_prob, p1 = params.b_prob, params.p1
-    cols = _draw_columns(rng, n, b_prob, p1, r1)
+    cols = _draw_columns(rng_for(seed, _STAGE1_TAG), n, params.b_prob,
+                         params.p1, r1)
     lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
     # lo <= x <= hi for an integer count x is ceil(lo) <= x < floor(hi) + 1
     lo = np.broadcast_to(np.ceil(np.asarray(lo, dtype=float)), (ncols,))
@@ -318,12 +291,8 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
         if resamples > cap:
             raise ResampleBudgetExhausted(
                 f"stage one: {events.count()} bad events after {cap} resamples")
-        w = g.neighbors(v)
-        if params.mode == "theory":
-            new = _draw_columns(rng, w.size, b_prob, p1, r1)
-            events.update(_redraw(g, counts, cols, w, new))
-            continue
-        touched = _repair(g, counts, cols, v, col, w, others[col], lo, hi)
+        touched = _repair(g, counts, cols, v, col, g.neighbors(v), others[col],
+                          lo, hi)
         if touched is None:
             raise ResampleBudgetExhausted(
                 f"stage one: event (v={v}, column={col}) has no movable "
@@ -345,21 +314,18 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
               max_resamples: int | None = None) -> ColorAssignment:
     """Refine first-stage colors with uniform second-stage colors.
 
-    Theory mode clears violations by re-randomizing the second-stage labels
-    of all c-colored neighbors of v, which is the regime where the local
-    lemma guarantees termination. At desk scale that cascade branches (one
-    fixed zero-count creates tens of new ones a hop away), so practice mode
-    instead repairs a violation by relabeling a single c-colored neighbor
-    into the deficient class, chosen to create the fewest new violations.
-    Stage-one labels are never touched in either mode.
+    Fixes the lowest violated (v, class) by relabeling a single c-colored
+    neighbor of v into the deficient class, or out of an over-full one,
+    chosen to create the fewest new violations (see the module docstring).
+    Stage-one labels are never touched.
     """
     n = g.n
     r1, r2 = stage1.r1, params.r2
     d_star = r1 * r2
-    rng = rng_for(seed, _STAGE2_TAG)
     c1 = stage1.c1
+    draw = rng_for(seed, _STAGE2_TAG).integers(0, r2, size=n)
     # each vertex's class c*r2 + c', or -1 outside the colors
-    labels = c1.astype(np.int64) * r2 + rng.integers(0, r2, size=n)
+    labels = c1.astype(np.int64) * r2 + draw
     labels[c1 < 0] = -1
     lo, hi = thresholds if thresholds is not None else stage_two_thresholds(params)
     # lo < x < hi for an integer count x is floor(lo) + 1 <= x < ceil(hi)
@@ -385,10 +351,6 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
             raise ResampleBudgetExhausted(
                 f"stage two: event (v={v}, class={cls}) has no {c}-colored "
                 f"neighbors to resample")
-        if params.mode == "theory":
-            new = c * r2 + rng.integers(0, r2, size=members.size)
-            events.update(_redraw(g, counts, labels, members, new))
-            continue
         touched = _repair(g, counts, labels, v, cls, members, others[cls], lo, hi)
         if touched is None:
             raise ResampleBudgetExhausted(

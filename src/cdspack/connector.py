@@ -25,12 +25,11 @@ from .errors import CdsPackError, NoCrossEdge, PackingFormatError, VerificationF
 from .graph import Graph, concat_neighbors, label_components
 from .params import PackingParams
 from .verifier import VerificationReport, verify_packing
-# unused here, but perfbench/trace_pack.py wraps these connector attributes
-from .graph import components_of, induced_subgraph  # noqa: F401
-from .spectral import expansion_check  # noqa: F401
+# unused here, but perfbench/trace_pack.py wraps this connector attribute
+from .graph import components_of  # noqa: F401
 
-# perfbench/trace_pack.py wraps these names of the former tree forest; never called
-attach_tree = rollback = add_edge = None
+# perfbench/trace_pack.py wraps these names of deleted helpers; never called
+attach_tree = rollback = add_edge = expansion_check = induced_subgraph = None
 
 
 @dataclass

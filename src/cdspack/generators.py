@@ -62,28 +62,27 @@ def _pairing_attempt(rng: np.random.Generator, n: int, d: int) -> np.ndarray | N
         stubs = rng.permutation(stubs)
         u = stubs[0::2]
         v = stubs[1::2]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keys = lo * n + hi
-        loops = lo == hi
-        # keep the first occurrence of each key this round
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = skeys[1:] != skeys[:-1]
-        keep = np.zeros(keys.size, dtype=bool)
-        keep[order[first]] = True
-        pos = np.searchsorted(existing, keys)
-        pos[pos == existing.size] = max(existing.size - 1, 0)
-        already = existing.size > 0
-        dup_old = (existing[pos] == keys) if already else np.zeros(keys.size, bool)
-        good = ~loops & keep & ~dup_old
-        if not good.any():
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        # the first pair of each key this round is the lowest index in its
+        # run of equal keys, which an unstable sort finds as well
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        first = np.minimum.reduceat(order, starts)
+        fresh = keys[starts]  # sorted and distinct
+        ok = fresh % (n + 1) != 0  # u * n + v is u * (n + 1) + (v - u)
+        if existing.size:
+            pos = np.searchsorted(existing, fresh)
+            ok &= existing[np.minimum(pos, existing.size - 1)] != fresh
+        if not ok.any():
             if not _suitable(stubs, existing, n):
                 return None
             continue
-        existing = np.sort(np.concatenate([existing, keys[good]]))
-        bad = ~good
+        # round 0 keeps the sorted keys as they are: an insert would copy them
+        existing = (np.insert(existing, pos[ok], fresh[ok]) if existing.size
+                    else fresh[ok])
+        bad = np.ones(keys.size, dtype=bool)
+        bad[first[ok]] = False
         stubs = np.concatenate([u[bad], v[bad]])
     return None
 

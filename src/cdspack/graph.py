@@ -158,17 +158,6 @@ def edge_count_between(g: Graph, a, b) -> int:
     return int(b_mask[concat_neighbors(g, a_arr)].sum())
 
 
-def gamma_restricted(g: Graph, a, b) -> list[int]:
-    """Vertices of b that have at least one neighbor in a."""
-    a_arr = _as_array(g, a)
-    b_arr = _as_array(g, b)
-    if a_arr.size == 0 or b_arr.size == 0:
-        return []
-    touched = np.zeros(g.n, dtype=bool)
-    touched[concat_neighbors(g, a_arr)] = True
-    return b_arr[touched[b_arr]].tolist()
-
-
 class SetComponents(NamedTuple):
     """Components and closed neighbourhoods of k vertex sets of one graph.
 
@@ -269,18 +258,6 @@ def components_of(g: Graph, s) -> list[list[int]]:
         return []
     cuts = np.flatnonzero(roots[1:] != roots[:-1]) + 1
     return [comp.tolist() for comp in np.split(members, cuts)]
-
-
-def induced_subgraph(g: Graph, s) -> tuple[Graph, list[int]]:
-    """Induced subgraph on s with local ids, plus the local->global mapping."""
-    s_arr = _as_array(g, s)
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[s_arr] = np.arange(s_arr.size)
-    local_u = np.repeat(np.arange(s_arr.size), g.degrees[s_arr])
-    local_w = pos[concat_neighbors(g, s_arr)]
-    keep = local_w > local_u  # each edge once; -1 marks neighbours outside s
-    edges = np.column_stack([local_u[keep], local_w[keep]])
-    return Graph(int(s_arr.size), edges, _trusted=True), s_arr.tolist()
 
 
 # -- edge-list text format ----------------------------------------------

@@ -3,11 +3,14 @@
 Theory mode applies the asymptotic formulas verbatim, including the
 joinedness scale m, the extendability degree D and the forest budget
 s = n - 2Dm - 3m under which the paper's connector is proved, and rejects
-any input where a feasibility constraint fails; those constants are only
-attainable for astronomically dense graphs. Practice mode keeps the same
-colour-grid shape with a desk-scale split and downgrades feasibility
-failures to warnings. Its connector joins classes by shortest reservoir
-paths, which need no m, D or s, so practice mode leaves them None.
+any input where a feasibility constraint fails. One of them is stage two's
+arithmetic: every vertex must see each of the d_star classes more than
+eps^2 ln d times, so d >= d_star * (floor(eps^2 ln d) + 1). With
+r2 = round(ln^5 d) no degree below 332105 passes the theory gate, so no
+theory run on a graph that fits in memory gets past `params`. Practice mode
+keeps the same colour-grid shape with a desk-scale split and downgrades
+feasibility failures to warnings. Its connector joins classes by shortest
+reservoir paths, which need no m, D or s, so practice mode leaves them None.
 """
 
 from __future__ import annotations
@@ -102,6 +105,11 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
         problems.append(f"p1 = {p1:.6g} > 1")
     if d_star < 1:
         problems.append(f"d_star = {d_star} < 1")
+    # stage two's band: more than eps^2 ln d neighbours in each class
+    need = d_star * (floor(epsilon ** 2 * lg) + 1)
+    if d < need:
+        problems.append(f"stage two: d = {d} < d_star * "
+                        f"(floor(eps^2 ln d) + 1) = {need}")
     if problems and mode == "theory":
         raise InfeasibleParameters("; ".join(problems))
 

@@ -1,4 +1,4 @@
-"""Spectral measurements and the expansion checks the pipeline relies on.
+"""Spectral measurements: `pack`'s lambda bound and `spectrum`'s eigenvalues.
 
 lambda = max(lambda_2, |lambda_n|) is the largest eigenvalue magnitude of the
 adjacency operator with the all-ones direction deflated, A' : x -> A x -
@@ -39,7 +39,7 @@ from math import ceil, log, sqrt
 import numpy as np
 
 from .errors import EigenConvergenceError, NonRegularGraph
-from .graph import Graph, _as_array, gamma_restricted
+from .graph import Graph
 from .rand import rng_for
 
 DENSE_LIMIT = 512
@@ -255,40 +255,3 @@ def _top_ritz_value(deflated, v0: np.ndarray, k: int) -> tuple[float, int]:
         q = w / np.float32(b)
     t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
     return float(np.linalg.eigvalsh(t)[-1]), len(alpha)
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    passed: bool
-    ratio: float
-    threshold: float
-    vacuous: bool = False
-
-
-def expansion_check(g: Graph, b, x, eps: float, k: float) -> ExpansionReport:
-    """Check |Gamma_b(x)| >= eps^2 * k * |x| under the stated preconditions.
-
-    Preconditions (violations raise ValueError): k > 1, |x| <= n/(12k), and
-    every vertex of g must have at least eps*d/3 neighbors in b.
-    """
-    d = _require_regular(g)
-    if not k > 1:
-        raise ValueError("k must exceed 1")
-    x_arr = _as_array(g, x)
-    b_arr = _as_array(g, b)
-    if x_arr.size == 0:
-        return ExpansionReport(True, float("inf"), eps * eps * k, vacuous=True)
-    if x_arr.size > g.n / (12 * k):
-        raise ValueError(f"|x|={x_arr.size} exceeds n/(12k)={g.n / (12 * k):.3f}")
-    in_b = np.zeros(g.n, dtype=np.int64)
-    in_b[b_arr] = 1
-    b_degrees = np.bincount(g.row_index, weights=in_b[g.indices], minlength=g.n)
-    need = eps * d / 3
-    if b_degrees.min() < need:
-        v = int(np.argmin(b_degrees))
-        raise ValueError(
-            f"vertex {v} has {int(b_degrees[v])} neighbors in b, needs >= {need:.3f}")
-    gam = gamma_restricted(g, x_arr, b_arr)
-    ratio = len(gam) / x_arr.size
-    threshold = eps * eps * k
-    return ExpansionReport(ratio >= threshold, ratio, threshold)

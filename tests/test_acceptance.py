@@ -343,7 +343,7 @@ def test_criterion_9_theory_gate():
         cp.derive_params(10**6, 10**4, 100.0, 0.1, "theory")
     assert math.floor(0.1 ** 4 * 10**4 / (36 * 100)) == 0  # D < 3 by arithmetic
 
-    pars = cp.derive_params(10**7, 3 * 10**5, 1100.0, 0.8, "theory")
-    assert pars.D == math.floor(0.8 ** 4 * 3 * 10**5 / (36 * 1100)) == 3
-    assert pars.s == 10**7 - 2 * pars.D * pars.m - 3 * pars.m > 0
+    pars = cp.derive_params(10**8, 3 * 10**7, 1100.0, 0.8, "theory")
+    assert pars.D == math.floor(0.8 ** 4 * 3 * 10**7 / (36 * 1100)) == 310
+    assert pars.s == 10**8 - 2 * pars.D * pars.m - 3 * pars.m > 0
     _report("9 PASS: theory gate rejects/accepts per direct arithmetic")

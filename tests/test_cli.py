@@ -81,6 +81,21 @@ def test_pack_theory_infeasible_exit(tmp_path):
     assert report["error"]["type"] == "InfeasibleParameters"
 
 
+def test_pack_theory_fails_fast_at_the_stage_two_gate(tmp_path):
+    # K_200 at epsilon 0.9 has D = 3, but d_star = 4156 classes cannot each
+    # appear five times among 199 neighbours: the gate rejects it before
+    # coloring, where Moser-Tardos resampling used to spin
+    gpath, rep_path = tmp_path / "k200.txt", tmp_path / "rep.json"
+    assert main(["gen", "--kind", "complete", "--n", "200", "--out", str(gpath)]) == 0
+    code = main(["pack", "--input", str(gpath), "--mode", "theory",
+                 "--epsilon", "0.9", "--report", str(rep_path)])
+    assert code == EXIT_CODES["infeasible"]
+    error = json.loads(rep_path.read_text())["error"]
+    assert error["phase"] == "params"
+    assert error["type"] == "InfeasibleParameters"
+    assert "stage two: d = 199 < d_star * (floor(eps^2 ln d) + 1)" in error["message"]
+
+
 def test_verify_roundtrip_and_tamper(tmp_path):
     gpath = tmp_path / "g.txt"
     pack_path = tmp_path / "packing.json"

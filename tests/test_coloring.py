@@ -20,21 +20,12 @@ def practice_params(n, d, eps=0.4):
     return derive_params(n, d, 2 * math.sqrt(d - 1) * 1.05, eps, "practice")
 
 
-def theory_params(n, d):
-    """A hand-built theory-mode grid; callers pass thresholds that terminate."""
-    return PackingParams(epsilon=0.4, d_star=4, r1=2, r2=2, p1=0.42, p2=0.5,
-                         b_prob=0.16, m=2, D=8, s=n // 2, mode="theory",
-                         n=n, d=d)
-
-
 # Reference loops: stage one and stage two as they were before violations were
 # tracked incrementally, rescanning the whole count matrix after every
-# resample, and before a resample moved only the counts of the labels it
-# changed. They use their own copies of the label draw, the label-to-column
-# map, the count shift (which moves every resampled vertex, changed or not)
-# and the two practice-mode repairs, so the module's loops are checked
-# against independent code: they must pick the same events in the same order
-# and end with the same labels.
+# repair. They use their own copies of the label draw, the label-to-column
+# map, the count shift and the two repairs, so the module's loops are
+# checked against independent code: they must pick the same events in the
+# same order and end with the same labels.
 
 def draw_stage1(rng, size, b_prob, p1, r1):
     u = rng.random(size)
@@ -130,11 +121,10 @@ def repair_column(g, counts, c1, v, col, lo, hi, r1):
 
 def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None,
                         branches=None):
-    """Theory mode resamples N(v), practice mode repairs one neighbor; the
-    branch of every practice repair is appended to `branches` if given."""
+    """Repairs one neighbor of v per event; the branch of every repair is
+    appended to `branches` if given."""
     n, r1 = g.n, params.r1
-    rng = rng_for(seed, _STAGE1_TAG)
-    c1 = draw_stage1(rng, n, params.b_prob, params.p1, r1)
+    c1 = draw_stage1(rng_for(seed, _STAGE1_TAG), n, params.b_prob, params.p1, r1)
     lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (r1 + 1,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (r1 + 1,))
@@ -151,20 +141,14 @@ def reference_stage_one(g, params, seed, thresholds=None, max_resamples=None,
         if resamples > cap:
             raise ResampleBudgetExhausted(
                 f"stage one: {flat.size} bad events after {cap} resamples")
-        if params.mode == "practice":
-            branch = repair_column(g, counts, c1, v, col, lo, hi, r1)
-            if branch is None:
-                raise ResampleBudgetExhausted(
-                    f"stage one: event (v={v}, column={col}) has no movable "
-                    f"neighbor, {flat.size} bad events after "
-                    f"{resamples - 1} repairs")
-            if branches is not None:
-                branches.append(branch)
-            continue
-        w = g.neighbors(v).astype(np.int64)
-        old_cols = column_labels(c1[w], r1)
-        c1[w] = draw_stage1(rng, w.size, params.b_prob, params.p1, r1)
-        shift_counts(g, counts, w, old_cols, column_labels(c1[w], r1))
+        branch = repair_column(g, counts, c1, v, col, lo, hi, r1)
+        if branch is None:
+            raise ResampleBudgetExhausted(
+                f"stage one: event (v={v}, column={col}) has no movable "
+                f"neighbor, {flat.size} bad events after "
+                f"{resamples - 1} repairs")
+        if branches is not None:
+            branches.append(branch)
     return ColorAssignment(c1=c1, c2=None, r1=r1, r2=params.r2, resamples=resamples)
 
 
@@ -173,9 +157,8 @@ def reference_stage_two(g, stage1, params, seed, thresholds=None,
     n = g.n
     r1, r2 = stage1.r1, params.r2
     d_star = r1 * r2
-    rng = rng_for(seed, _STAGE2_TAG)
     c1 = stage1.c1
-    c2 = rng.integers(0, r2, size=n).astype(np.int32)
+    c2 = rng_for(seed, _STAGE2_TAG).integers(0, r2, size=n).astype(np.int32)
     c2[c1 < 0] = -1
     lo, hi = thresholds if thresholds is not None else stage_two_thresholds(params)
     labels = c1.astype(np.int64) * r2 + c2
@@ -201,14 +184,8 @@ def reference_stage_two(g, stage1, params, seed, thresholds=None,
             raise ResampleBudgetExhausted(
                 f"stage two: event (v={v}, class={cls}) has no {c}-colored "
                 f"neighbors to resample")
-        if params.mode == "theory":
-            old = labels[members].copy()
-            c2[members] = rng.integers(0, r2, size=members.size).astype(np.int32)
-            labels[members] = c1[members].astype(np.int64) * r2 + c2[members]
-            shift_counts(g, counts, members, old, labels[members])
-        else:
-            repair_event(g, counts, labels, c2, members, c, cls, r2,
-                         int(counts[v, cls]) >= hi, lo, v)
+        repair_event(g, counts, labels, c2, members, c, cls, r2,
+                     int(counts[v, cls]) >= hi, lo, v)
     return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
                            resamples=stage1.resamples + resamples)
 
@@ -267,19 +244,8 @@ def test_practice_stages_match_full_rescan(n, d, seed):
     a1, a2 = assert_stages_match_reference(g, practice_params(n, d), seed)
     if d == 16:
         # sparse enough that the first stage-two draw leaves classes missing
-        # from some neighborhoods, so practice mode runs its repair branch
+        # from some neighborhoods, so stage two runs its repair branch
         assert a2.resamples > a1.resamples
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_theory_rerandomize_matches_full_rescan(seed):
-    g = random_regular(400, 24, seed)
-    pars = theory_params(400, 24)
-    # stage one: every color and the reservoir seen at least twice
-    th1 = (np.array([2.0, 2.0, 2.0]), np.full(3, np.inf))
-    # stage two: every class seen, none more than eleven times
-    a1, a2 = assert_stages_match_reference(g, pars, seed, th1, (0.0, 12.0))
-    assert a2.resamples > a1.resamples  # the re-randomize branch ran
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -296,34 +262,15 @@ def test_non_regular_graph_matches_full_rescan(seed):
     assert a1.resamples > 0 and a2.resamples > a1.resamples
 
 
-# E = 10.08 per color and 3.84 for the reservoir: windows around them that
-# the first draw leaves on both sides, in every seed used here; the
-# fractional ones check the conversion of float bounds to integer windows
-@pytest.mark.parametrize("seed,th1,th2", seed_cases(
-    ((np.array([4.0, 4.0, 1.0]), np.array([16.0, 16.0, 8.0])), (0.0, 12.0)),
-    fractional=((np.array([3.5, 3.5, 0.5]), np.array([16.5, 16.5, 8.5])),
-                (0.5, 12.5))))
-def test_finite_upper_bound_matches_full_rescan(seed, th1, th2):
+# r1 = 1 and p1 = 0.35: about half the vertices draw no label, and stage
+# one's repairs move some of them into a column
+@pytest.mark.parametrize("seed", [pytest.param(seed, id=f"practice-{seed}")
+                                  for seed in (1, 2, 3)])
+def test_uncolored_vertices_match_full_rescan(seed):
     g = random_regular(400, 24, seed)
-    pars = theory_params(400, 24)
-    a1, _ = assert_stages_match_reference(g, pars, seed, th1, th2)
-    counts = _neighbor_counts(g, column_labels(a1.c1, pars.r1), pars.r1 + 1)
-    assert (counts <= th1[1]).all()
-    assert a1.resamples > 0
-
-
-# theory: b_prob + r1 * p1 = 0.86, so about one vertex in seven draws no
-# label, and its moves in and out of the uncolored state change no count.
-# practice (r1 = 1): about half the vertices draw no label, and stage one's
-# repairs move some of them into a column
-@pytest.mark.parametrize("seed,pars,th1,th2", seed_cases(
-    (replace(theory_params(400, 24), p1=0.35),
-     (np.array([3.0, 3.0, 1.0]), np.array([16.0, 16.0, 8.0])), (0.0, 12.0)),
-    practice=(replace(practice_params(400, 24), p1=0.35),
-              (np.array([3.0, 1.0]), np.full(2, np.inf)), (-1.0, np.inf))))
-def test_uncolored_vertices_match_full_rescan(seed, pars, th1, th2):
-    g = random_regular(400, 24, seed)
-    a1, _ = assert_stages_match_reference(g, pars, seed, th1, th2)
+    pars = replace(practice_params(400, 24), p1=0.35)
+    th1 = (np.array([3.0, 1.0]), np.full(2, np.inf))
+    a1, _ = assert_stages_match_reference(g, pars, seed, th1, (-1.0, np.inf))
     assert (a1.c1 == UNCOLORED).any()
 
 
@@ -445,10 +392,9 @@ def test_pack_params_stage_one_converges_at_degree_eight(seed):
     assert (counts >= stage_one_thresholds(pars)[0]).all()
 
 
-@pytest.mark.parametrize("mode", ["practice", "theory"])
-def test_stage_two_impossible_band_exhausts(mode):
+def test_stage_two_impossible_band_exhausts():
     g = random_regular(300, 12, 4)
-    pars = practice_params(300, 12) if mode == "practice" else theory_params(300, 12)
+    pars = practice_params(300, 12)
     a1 = stage_one(g, pars, 2, thresholds=(np.zeros(pars.r1 + 1),
                                            np.full(pars.r1 + 1, np.inf)))
     # bad iff count <= -1 or count >= 1: only an empty class is in band, and

@@ -5,6 +5,38 @@ import pytest
 
 from cdspack import (GenSpec, binomial_random, complete_graph, cycle_graph,
                      generate, glued_cliques, petersen_graph, random_regular)
+from cdspack.generators import _ROUND_CAP, _pairing_attempt, _suitable
+from cdspack.rand import rng_for
+
+
+def reference_pairing_attempt(rng, n, d):
+    """One pairing attempt as first written: a stable argsort marks the first
+    pair of each key, and the kept keys are re-sorted into `existing` every
+    round. Returns the attempt's sorted keys (or None) and its round count."""
+    existing = np.empty(0, dtype=np.int64)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    for rounds in range(_ROUND_CAP):
+        if stubs.size == 0:
+            return existing, rounds
+        stubs = rng.permutation(stubs)
+        u, v = stubs[0::2], stubs[1::2]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        skeys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = skeys[1:] != skeys[:-1]
+        keep = np.zeros(keys.size, dtype=bool)
+        keep[order[first]] = True
+        dup_old = np.isin(keys, existing)
+        good = (lo != hi) & keep & ~dup_old
+        if not good.any():
+            if not _suitable(stubs, existing, n):
+                return None, rounds + 1
+            continue
+        existing = np.sort(np.concatenate([existing, keys[good]]))
+        stubs = np.concatenate([u[~good], v[~good]])
+    return None, _ROUND_CAP
 
 
 def test_random_regular_degree_audit():
@@ -38,6 +70,26 @@ def test_random_regular_deterministic():
 def test_random_regular_more_sizes(n, d):
     g = random_regular(n, d, 7)
     assert set(g.degrees.tolist()) == {d}
+
+
+# seeds whose first attempts get stuck: 3, 6, 4, 5 and 7 attempts
+@pytest.mark.parametrize("n,d,seed", [(40, 12, 1), (40, 12, 5), (60, 20, 3),
+                                      (100, 30, 4), (200, 40, 5)])
+def test_pairing_attempts_match_stable_sort_reference(n, d, seed):
+    rng, ref_rng = rng_for(seed, 1), rng_for(seed, 1)
+    attempts = 0
+    while True:
+        attempts += 1
+        keys = _pairing_attempt(rng, n, d)
+        want, rounds = reference_pairing_attempt(ref_rng, n, d)
+        assert rounds > 1
+        if want is None:
+            assert keys is None
+            continue
+        assert keys.tolist() == want.tolist()
+        break
+    assert attempts > 1
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_binomial_extremes():

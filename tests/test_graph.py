@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cdspack import (Graph, binomial_random, components_of, complete_graph,
-                     cycle_graph, edge_count_between, gamma_restricted,
-                     induced_subgraph, load_graph, random_regular, save_graph,
-                     vertex_set)
+                     cycle_graph, edge_count_between, load_graph, random_regular,
+                     save_graph, vertex_set)
 from cdspack import graph
 from cdspack.graph import concat_neighbors, label_components, min_labels
 from cdspack.connector import spanning_certificate
@@ -64,12 +63,6 @@ def reference_load(path):
     if n < 0:
         raise GraphFormatError("vertex count must be nonnegative")
     return reference_csr(n, edges)
-
-
-def reference_induced_edges(g, s):
-    pos = {u: i for i, u in enumerate(s)}
-    return [[pos[u], pos[w]] for u in s for w in g.neighbors(u).tolist()
-            if w in pos and pos[u] < pos[w]]
 
 
 def reference_components(g, s):
@@ -202,13 +195,6 @@ def test_edge_count_matches_double_loop():
         b = sorted(set(rng.integers(0, n, size=int(rng.integers(0, 13))).tolist()))
         brute = sum(1 for x in a for y in b if g.has_edge(x, y))
         assert edge_count_between(g, a, b) == brute
-
-
-def test_gamma_restricted_examples():
-    c5 = cycle_graph(5)
-    assert gamma_restricted(c5, [0], [1, 2]) == [1]
-    assert gamma_restricted(c5, [0, 2], list(range(5))) == [1, 3, 4]
-    assert gamma_restricted(c5, [0], []) == []
 
 
 def test_components_examples():
@@ -462,15 +448,12 @@ def test_csr_build_matches_lexsort_reference():
         assert outcome(Graph, n, keys, True) == outcome(reference_csr, n, keys)
 
 
-def test_induced_subgraph_and_certificate_match_reference_bfs():
+def test_certificate_matches_reference_bfs():
     g = random_regular(400, 8, 2)
     rng = rng_for(89)
     connected = 0
     for size in rng.integers(0, 400, size=200).tolist():
         s = sorted(set(rng.integers(0, 400, size=size).tolist()))
-        sub, mapping = induced_subgraph(g, s)
-        assert mapping == s
-        assert sub.edge_array().tolist() == reference_induced_edges(g, s)
         try:
             expected = reference_certificate(g, s)
         except CdsPackError:
@@ -480,13 +463,3 @@ def test_induced_subgraph_and_certificate_match_reference_bfs():
         assert spanning_certificate(g, s) == expected  # same edges, same order
         connected += 1
     assert connected > 20
-
-
-def test_induced_subgraph():
-    c6 = cycle_graph(6)
-    sub, mapping = induced_subgraph(c6, [1, 2, 4])
-    assert mapping == [1, 2, 4]
-    assert sub.n == 3
-    assert sub.has_edge(0, 1)       # 1-2 survives
-    assert not sub.has_edge(1, 2)   # 2-4 is not an edge
-    assert sub.degree(2) == 0

@@ -14,14 +14,16 @@ def test_theory_gate_rejects():
 
 
 def test_theory_gate_accepts():
-    pars = derive_params(10**7, 3 * 10**5, 1100.0, 0.8, "theory")
-    assert pars.D == 3
-    d = 3 * 10**5
-    assert pars.d_star_target == math.floor(0.2 * d / math.log(d)) == 4757
+    pars = derive_params(10**8, 3 * 10**7, 1100.0, 0.8, "theory")
+    assert pars.D == 310
+    d = 3 * 10**7
+    assert pars.d_star_target == math.floor(0.2 * d / math.log(d)) == 348498
     assert pars.r1 * pars.r2 == pars.d_star
-    assert pars.m == math.ceil(1100.0 * 10**7 / d) + 1
-    assert pars.s == 10**7 - 2 * pars.D * pars.m - 3 * pars.m
+    assert pars.m == math.ceil(1100.0 * 10**8 / d) + 1
+    assert pars.s == 10**8 - 2 * pars.D * pars.m - 3 * pars.m
     assert pars.s > 0
+    # stage two's band: d_star classes, each seen floor(0.64 ln d) + 1 times
+    assert d >= pars.d_star * (math.floor(0.64 * math.log(d)) + 1)
 
 
 def test_grid_reconciliation_and_probabilities():
@@ -44,16 +46,16 @@ def test_s_nonpositive_always_errors():
 def test_monotonicity_in_lambda():
     prev = None
     for lam in [5.0, 10.0, 20.0]:
-        pars = derive_params(10**6, 10**5, lam, 0.5, "theory")
-        assert pars.D == math.floor(0.5 ** 4 * 10**5 / (36 * lam)) >= 6
+        pars = derive_params(10**8, 3 * 10**7, lam, 0.5, "theory")
+        assert pars.D == math.floor(0.5 ** 4 * 3 * 10**7 / (36 * lam)) >= 6
         if prev is not None:
             assert pars.D <= prev
         prev = pars.D
 
 
 def test_theory_mode_has_no_defaults():
-    pars = derive_params(10**7, 3 * 10**5, 1100.0, 0.8, "theory")
-    assert pars.D == 3 and pars.m == math.ceil(1100.0 * 10**7 / (3 * 10**5)) + 1
+    pars = derive_params(10**8, 3 * 10**7, 1100.0, 0.8, "theory")
+    assert pars.D == 310 and pars.m == math.ceil(1100.0 * 10**8 / (3 * 10**7)) + 1
     assert pars.warnings == []
 
 
@@ -81,7 +83,7 @@ def test_practice_leaves_m_d_s_unset():
 def test_json_round_trip_keys():
     # one report shape in both modes: practice reports m, D and s as null
     for mode in ("practice", "theory"):
-        pars = derive_params(10**7, 3 * 10**5, 1100.0, 0.8, mode)
+        pars = derive_params(10**8, 3 * 10**7, 1100.0, 0.8, mode)
         blob = pars.to_json()
         assert set(blob) == {"epsilon", "d_star", "r1", "r2", "p1", "p2",
                              "b_prob", "m", "D", "s", "mode", "n", "d",
@@ -89,17 +91,24 @@ def test_json_round_trip_keys():
         assert (blob["m"], blob["D"], blob["s"]) == (pars.m, pars.D, pars.s)
 
 
-@pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.9, 0.999])
+@pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.3, 0.9, 0.999])
 def test_theory_grid_outgrows_the_degree_wherever_the_gate_passes(epsilon):
     # lambda = 1 is the least lambda of a graph with an edge, and n = d + 1
-    # the least n. The gate needs D >= 3, so d >= 108 / epsilon^4 > 108, and
-    # then d_star >= r2 = round(ln^5 d) > d up to d = 332104: stage two's
-    # band asks each vertex to see d_star classes with d neighbours, so no
-    # theory run at these degrees colours its way to the connector
-    grid = set(np.geomspace(3, 332104, 400).astype(int).tolist())
-    for d in sorted(grid | {108, 109, 110, 332104}):
+    # the least n. D >= 3 needs d >= 108 / epsilon^4 > 108, and then
+    # d_star >= r2 = round(ln^5 d) > d up to d = 332104, so stage two's band
+    # asks each vertex to see more classes than it has neighbours. The gate
+    # itself rejects all of those degrees; where it passes, each of the
+    # d_star classes fits floor(eps^2 ln d) + 1 times into the degree
+    grid = set(np.geomspace(3, 10**7, 500).astype(int).tolist())
+    passed = []
+    for d in sorted(grid | {108, 109, 110, 332104, 332105}):
         try:
             pars = derive_params(d + 1, d, 1.0, epsilon, "theory")
         except InfeasibleParameters:
             continue
-        assert pars.d_star > d, (d, pars.d_star)
+        passed.append(d)
+        assert d >= pars.d_star * (math.floor(epsilon ** 2 * math.log(d)) + 1)
+    assert all(d >= 332105 for d in passed), passed[:1]
+    if epsilon == 0.2:
+        # eps^2 ln d < 1 and D = floor(0.0016 d / 36) >= 3: the least degree
+        assert passed[0] == 332105

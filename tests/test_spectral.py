@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from cdspack import (complete_graph, cycle_graph, edge_count_between,
-                     expansion_check, extremal_eigenvalues, lambda_bound,
-                     petersen_graph, random_regular)
+                     extremal_eigenvalues, lambda_bound, petersen_graph,
+                     random_regular)
 from cdspack.errors import NonRegularGraph
 from cdspack.graph import Graph
 from cdspack import spectral
@@ -295,25 +295,3 @@ def test_mixing_slack_never_negative_on_petersen():
         b = perm[ka:ka + kb].tolist()
         slack = mixing_slack(g, lam, a, b)
         assert slack >= -1e-9 * math.sqrt(ka * kb)
-
-
-def test_expansion_check_examples():
-    k20 = complete_graph(20)
-    rep = expansion_check(k20, list(range(20)), [0], eps=1.0, k=1.5)
-    assert rep.passed and rep.ratio == pytest.approx(19.0)
-    rep = expansion_check(k20, list(range(20)), [], eps=1.0, k=1.5)
-    assert rep.passed and rep.vacuous
-    # long cycles cannot expand singletons by more than their two neighbors
-    c48 = cycle_graph(48)
-    rep = expansion_check(c48, list(range(48)), [0], eps=1.0, k=3.0)
-    assert not rep.passed and rep.ratio == pytest.approx(2.0)
-
-
-def test_expansion_check_preconditions():
-    k20 = complete_graph(20)
-    with pytest.raises(ValueError):
-        expansion_check(k20, list(range(20)), [0], eps=1.0, k=1.0)
-    with pytest.raises(ValueError):
-        expansion_check(k20, list(range(20)), [0, 1, 2], eps=1.0, k=1.5)
-    with pytest.raises(ValueError):
-        expansion_check(k20, [0, 1], [0], eps=1.0, k=1.5)  # b-degree too small
