@@ -72,19 +72,42 @@ def _write(path: str, text: str, report: dict) -> bool:
     return True
 
 
+# the packing's place in the report while the report is encoded; no report
+# string holds a NUL otherwise (argv and paths cannot)
+_SLOT = "\0packing\0"
+
+
+def _report_text(report: dict, packing: dict | None, packing_text: str) -> str:
+    """`_dumps(report)`, with `packing_text` reused where `packing` sits."""
+    def stub(body: dict) -> dict:
+        return {**body, "packing": _SLOT} if body.get("packing") is packing else body
+
+    if packing is not None:
+        outer = stub(report)
+        if "trials" in report:
+            outer = {**outer, "trials": [stub(body) for body in report["trials"]]}
+        slot = _dumps(_SLOT)
+        head, found, tail = _dumps(outer).partition(slot)
+        if found and slot not in tail:
+            return head + packing_text + tail
+    return _dumps(report)
+
+
 def _emit(report: dict, path: str | None, code: int,
           packing_path: str | None = None, packing: dict | None = None) -> int:
     """Write the packing and the report files, print the report, return the code.
 
-    A file that cannot be written makes the run an input error; the report,
-    with that failure under "error", still goes to stdout.
+    The packing is encoded once, for its file and for its place in the
+    report. A file that cannot be written makes the run an input error; the
+    report, with that failure under "error", still goes to stdout.
     """
     ok = True
+    packing_text = _dumps(packing) if packing is not None else ""
     if packing_path and packing is not None:
-        ok = _write(packing_path, _dumps(packing), report)
-    text = _dumps(report)
+        ok = _write(packing_path, packing_text, report)
+    text = _report_text(report, packing, packing_text)
     if path and not _write(path, text + "\n", report):
-        ok, text = False, _dumps(report)
+        ok, text = False, _report_text(report, packing, packing_text)
     print(text)
     return code if ok else EXIT_CODES["input"]
 

@@ -21,10 +21,17 @@ color with one class cannot repair an over-full event). The vertex moved is
 the candidate whose move drops the fewest count entries below their window,
 ties to the lowest id. Moser-Tardos resampling of the whole neighborhood
 breaks about as many events as it fixes at desk scale and may never settle;
-a one-vertex repair does. Every count update is one vertex changing column
-(`_move`). Only the count entries of the moved vertex's neighbors are
-re-tested, and the next event is still the lowest violated one, exactly as
-a full rescan of the count matrix would pick it.
+a one-vertex repair does.
+
+Both stages run one repair loop, `_settle`, on Python scalars: a repair
+reads a few rows of 16 to 256 entries, where each numpy call would cost more
+than the work it does. The counts are one flat row-major list and the
+bad-event flags a bytearray, and each adjacency row the loop touches is read
+once with `.tolist()`. A move steps each count entry of the moved vertex's
+neighbors by one, and a flag is re-tested only where that step crosses the
+bottom or top of its window. Bad indices wait in a min-heap, so the next
+event is the lowest violated one, exactly as a full rescan of the count
+matrix would pick it.
 
 Thresholds are floats, turned into the integer windows above:
   stage one - inclusive bounds lo <= x <= hi, the window
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import inf, log
+from math import inf, isfinite, log
 
 import numpy as np
 
@@ -146,111 +153,114 @@ def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
     return np.ascontiguousarray(counts.reshape(g.n, ncols + 1)[:, 1:])
 
 
-def _move(g: Graph, counts: np.ndarray, labels: np.ndarray, w: int,
-          new: int) -> np.ndarray:
-    """Give vertex `w` the count-matrix column `new`, in `labels` and `counts`.
+def _settle(g: Graph, counts: np.ndarray, labels: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, width: int | None, cap: int,
+            stage: str) -> tuple[int, tuple | None]:
+    """Repair the lowest bad event until none is left (see the module docstring).
 
-    Column -1 (uncolored) is not counted, on either side. w's neighbors are
-    distinct, so each of its count entries changes once, by plain fancy
-    indexing. Returns the flat indices (row * ncols + col) of the entries
-    it changed.
+    Entry (v, c) holding x is bad when x < lo[c] or x >= hi[c]. The group a
+    repair moves a vertex of is all of N(v) when `width` is None, else v's
+    neighbours labelled in the event column's block of `width` columns; a
+    crowded column's vertex moves to the column of that block (of all
+    columns, for None) where v has the fewest neighbours. `labels` is
+    updated in place. Returns the number of repairs and None, or, at an
+    event no move can fix, (v, column, its group, the number of bad
+    entries); raises ResampleBudgetExhausted when the repairs would pass
+    `cap`.
     """
-    old = int(labels[w])
-    labels[w] = new
-    slots = g.neighbors(w) * counts.shape[1]
-    flat = counts.reshape(-1)  # a view: counts is C-contiguous
-    dec, inc = slots + old, slots + new
-    if old >= 0:
-        flat[dec] -= 1
-    if new < 0:
-        return dec
-    flat[inc] += 1
-    return np.concatenate((dec, inc)) if old >= 0 else inc
-
-
-def _least_collateral(g: Graph, counts: np.ndarray, labels: np.ndarray,
-                      cand: np.ndarray, lo: np.ndarray) -> int:
-    """The candidate whose move out of its column breaks the fewest entries.
-
-    Moving w out of column c decrements counts[u, c] for each neighbor u of
-    w; an entry counts as broken when it held at most `lo[c]`, the bottom of
-    its window. Ties go to the first candidate, and one that breaks nothing
-    ends the search.
-    """
-    best_w, best_score = -1, None
-    for w in cand.tolist():
-        c = int(labels[w])
-        created = (np.count_nonzero(counts[g.neighbors(w), c] <= lo[c])
-                   if c >= 0 else 0)  # leaving "uncolored" changes no count
-        if best_score is None or created < best_score:
-            best_w, best_score = w, created
-            if created == 0:
-                break
-    return best_w
-
-
-def _repair(g: Graph, counts: np.ndarray, labels: np.ndarray, v: int,
-            col: int, group: np.ndarray, others: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray | None:
-    """Move one vertex of `group` to bring counts[v, col] toward its window.
-
-    At or above hi[col], a vertex in `col` moves out, into the column of
-    `others` where v has the fewest neighbors (the first on ties); below
-    lo[col], a vertex outside `col` moves in. `_least_collateral` picks
-    which. Returns the flat indices of the count entries the move changed,
-    or None when no vertex of `group` can move, or no column of `others`
-    can take it.
-    """
-    if counts[v, col] >= hi[col]:
-        if others.size == 0:
-            return None
-        cand = group[labels[group] == col]
-        target = int(others[np.argmin(counts[v, others])])
-    else:
-        cand = group[labels[group] != col]
-        target = col
-    if cand.size == 0:
-        return None
-    return _move(g, counts, labels,
-                 _least_collateral(g, counts, labels, cand, lo), target)
-
-
-class _BadEvents:
-    """The count entries outside their column's window, kept current.
-
-    Entry (v, c) holding x is violated when x < lo[c] or x >= hi[c]. One
-    full test seeds the flags; after that `update` re-tests only the entries
-    a move touched. Violated indices sit in a min-heap whose stale entries
-    are dropped lazily, so `lowest` returns the first violated index a full
-    rescan would find.
-    """
-
-    def __init__(self, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self._flat = counts.reshape(-1)  # a view: counts is C-contiguous
-        self._lo, self._hi = lo, hi
-        self._flags = ((counts < lo) | (counts >= hi)).reshape(-1)
-        self._heap = np.flatnonzero(self._flags).tolist()  # sorted: a heap
-
-    def lowest(self) -> int | None:
-        """Lowest violated flat index, or None when every entry is in bounds."""
-        heap, flags = self._heap, self._flags
-        while heap and not flags[heap[0]]:
+    ncols = counts.shape[1]
+    bad = (counts < lo) | (counts >= hi)
+    heap = np.flatnonzero(bad).tolist()  # sorted, so already a heap
+    if not heap:
+        return 0, None
+    flags = bytearray(bad.tobytes())  # one byte, 0 or 1, per bool
+    flat = counts.ravel().tolist()
+    lab = labels.tolist()
+    # integer windows compare faster; an infinite bound stays a float
+    lo, hi = ([int(x) if isfinite(x) else x for x in w.tolist()] for w in (lo, hi))
+    block = width or ncols
+    others = [[c for c in range(k - k % block, k - k % block + block) if c != k]
+              for k in range(ncols)]
+    ptr, indices = g.indptr.tolist(), g.indices
+    steps = 0
+    while heap:
+        idx = heap[0]
+        if not flags[idx]:
             heapq.heappop(heap)
-        return heap[0] if heap else None
+            continue
+        steps += 1
+        if steps > cap:
+            raise ResampleBudgetExhausted(
+                f"{stage}: {flags.count(1)} bad events after {cap} resamples")
+        v, col = divmod(idx, ncols)
+        group = indices[ptr[v]:ptr[v + 1]].tolist()
+        if width is not None:
+            first = col - col % width
+            group = [w for w in group if first <= lab[w] < first + width]
+            if not group:
+                return steps, (v, col, group, flags.count(1))
+        base = v * ncols
+        over = flat[idx] >= hi[col]
+        if over:
+            target = min(others[col], key=lambda c: flat[base + c], default=None)
+            if target is None:
+                return steps, (v, col, group, flags.count(1))
+        else:
+            target = col
+        best = row = None
+        for w in group:
+            c = lab[w]
+            if (c == col) != over:
+                continue
+            if c < 0:  # leaving "uncolored" changes no count
+                best, row = w, None
+                break
+            nbrs = indices[ptr[w]:ptr[w + 1]].tolist()
+            edge = lo[c]
+            score = sum(1 for u in nbrs if flat[u * ncols + c] <= edge)
+            if best is None or score < best_score:
+                best, best_score, row = w, score, nbrs
+                if score == 0:
+                    break
+        if best is None:
+            return steps, (v, col, group, flags.count(1))
+        if row is None:
+            row = indices[ptr[best]:ptr[best + 1]].tolist()
+        old = lab[best]
+        lab[best] = target
+        # a +-1 step changes a flag only across lo - 1 | lo or hi - 1 | hi
+        up_lo, up_hi = lo[target], hi[target]
+        if old < 0:
+            for u in row:
+                i = u * ncols + target
+                x = flat[i] + 1
+                flat[i] = x
+                if x == up_lo or x == up_hi:
+                    _retest(i, x, up_lo, up_hi, flags, heap)
+            continue
+        down_lo, down_hi = lo[old], hi[old]
+        shift = target - old
+        for u in row:
+            i = u * ncols + old
+            x = flat[i]
+            flat[i] = x - 1
+            if x == down_lo or x == down_hi:
+                _retest(i, x - 1, down_lo, down_hi, flags, heap)
+            i += shift
+            x = flat[i] + 1
+            flat[i] = x
+            if x == up_lo or x == up_hi:
+                _retest(i, x, up_lo, up_hi, flags, heap)
+    labels[:] = lab
+    return steps, None
 
-    def update(self, touched: np.ndarray) -> None:
-        """Re-test the entries at `touched` after their counts changed."""
-        x, col = self._flat[touched], touched % self._lo.size
-        now = (x < self._lo[col]) | (x >= self._hi[col])
-        # an index repeated in `touched` may be pushed twice; `lowest` skips
-        # the copy left behind once it is cleared
-        for idx in touched[now & ~self._flags[touched]].tolist():
-            heapq.heappush(self._heap, idx)
-        self._flags[touched] = now
 
-    def count(self) -> int:
-        """Number of violated entries."""
-        return int(np.count_nonzero(self._flags))
+def _retest(i: int, x: int, lo, hi, flags: bytearray, heap: list[int]) -> None:
+    """Set entry i's flag for count x; a newly bad entry joins the heap."""
+    now = x < lo or x >= hi
+    if now and not flags[i]:
+        heapq.heappush(heap, i)
+    flags[i] = now
 
 
 def stage_one_thresholds(params: PackingParams) -> tuple[np.ndarray, np.ndarray]:
@@ -280,25 +290,13 @@ def stage_one(g: Graph, params: PackingParams, seed: int,
     lo = np.broadcast_to(np.ceil(np.asarray(lo, dtype=float)), (ncols,))
     hi = np.broadcast_to(np.floor(np.asarray(hi, dtype=float)) + 1, (ncols,))
     counts = _neighbor_counts(g, cols, ncols)
-    events = _BadEvents(counts, lo, hi)
-    # where a repair may move a vertex out of column c: any other column
-    others = [np.flatnonzero(np.arange(ncols) != c) for c in range(ncols)]
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
-    resamples = 0
-    while (idx := events.lowest()) is not None:
-        v, col = divmod(idx, ncols)
-        resamples += 1
-        if resamples > cap:
-            raise ResampleBudgetExhausted(
-                f"stage one: {events.count()} bad events after {cap} resamples")
-        touched = _repair(g, counts, cols, v, col, g.neighbors(v), others[col],
-                          lo, hi)
-        if touched is None:
-            raise ResampleBudgetExhausted(
-                f"stage one: event (v={v}, column={col}) has no movable "
-                f"neighbor, {events.count()} bad events after "
-                f"{resamples - 1} repairs")
-        events.update(touched)
+    resamples, stuck = _settle(g, counts, cols, lo, hi, None, cap, "stage one")
+    if stuck is not None:
+        v, col, _, bad = stuck
+        raise ResampleBudgetExhausted(
+            f"stage one: event (v={v}, column={col}) has no movable "
+            f"neighbor, {bad} bad events after {resamples - 1} repairs")
     return ColorAssignment(c1=_stage_one_labels(cols, r1), c2=None, r1=r1,
                            r2=params.r2, resamples=resamples)
 
@@ -332,30 +330,16 @@ def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: in
     lo = np.full(d_star, np.floor(lo) + 1)
     hi = np.full(d_star, np.ceil(hi))
     counts = _neighbor_counts(g, labels, d_star)
-    events = _BadEvents(counts, lo, hi)
-    # where a repair may move a vertex out of class k: its color's other classes
-    blocks = np.arange(d_star).reshape(r1, r2)
-    others = [row[row != k] for row in blocks for k in row.tolist()]
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
-    resamples = 0
-    while (idx := events.lowest()) is not None:
-        v, cls = divmod(idx, d_star)
-        c = cls // r2
-        resamples += 1
-        if resamples > cap:
+    resamples, stuck = _settle(g, counts, labels, lo, hi, r2, cap, "stage two")
+    if stuck is not None:
+        v, cls, group, _ = stuck
+        if not group:
             raise ResampleBudgetExhausted(
-                f"stage two: {events.count()} bad events after {cap} resamples")
-        nbrs = g.neighbors(v)
-        members = nbrs[c1[nbrs] == c]
-        if members.size == 0:
-            raise ResampleBudgetExhausted(
-                f"stage two: event (v={v}, class={cls}) has no {c}-colored "
+                f"stage two: event (v={v}, class={cls}) has no {cls // r2}-colored "
                 f"neighbors to resample")
-        touched = _repair(g, counts, labels, v, cls, members, others[cls], lo, hi)
-        if touched is None:
-            raise ResampleBudgetExhausted(
-                f"stage two: event (v={v}, class={cls}) has no movable neighbor")
-        events.update(touched)
+        raise ResampleBudgetExhausted(
+            f"stage two: event (v={v}, class={cls}) has no movable neighbor")
     c2 = (labels % r2).astype(np.int32)
     c2[labels < 0] = -1
     return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,

@@ -12,6 +12,11 @@ thus gets k - 1 paths, each with its interior in the reservoir.
 The free-reservoir mask is shared across sets. A connected set's path
 interiors leave it for good, so each reservoir vertex is used by at most one
 path across the whole run; a set that cannot be joined takes none of them.
+
+A connected set is its members joined with its path interiors in one
+vertex mask, and its certificate, a BFS spanning tree of the set, is an
+(m, 2) int64 array from the connector to the packing's one JSON encode;
+`CdsPacking.to_json` converts it with `.tolist()`.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class CdsPacking:
 
     params: PackingParams | dict | None
     sets: list[list[int]]
-    certificates: list[list[tuple[int, int]]]
+    certificates: list  # (m, 2) int64 arrays, or lists of (u, v) pairs from JSON
     paths: list[PathRecord]
     meta: dict = field(default_factory=dict)
     verification: VerificationReport | None = None  # not in the JSON
@@ -69,7 +74,7 @@ class CdsPacking:
         return {
             "params": params,
             "sets": [list(s) for s in self.sets],
-            "certificates": [[list(e) for e in cert] for cert in self.certificates],
+            "certificates": [np.asarray(cert).tolist() for cert in self.certificates],
             "paths": [p.to_json() for p in self.paths],
         }
 
@@ -186,20 +191,22 @@ def connect_one(g: Graph, members: list[int], free: np.ndarray,
     return records
 
 
-def spanning_certificate(g: Graph, members: list[int]) -> list[tuple[int, int]]:
-    """BFS spanning-tree edges of g[members], from the lowest vertex.
+def spanning_certificate(g: Graph, members) -> np.ndarray:
+    """BFS spanning-tree edges of g[members], from the lowest vertex, as an
+    (m, 2) int64 array of (lower, higher) rows.
 
     One level at a time: each vertex is claimed by its first discoverer, in
     frontier order and then in ascending neighbour order.
     """
-    if len(members) <= 1:
-        return []
+    members = np.asarray(members, dtype=np.int64)
+    if members.size <= 1:
+        return np.empty((0, 2), dtype=np.int64)
     in_set = np.zeros(g.n, dtype=bool)
     in_set[members] = True
-    frontier = np.array([min(members)], dtype=np.int64)
+    frontier = members.min(keepdims=True)
     in_set[frontier] = False  # reached vertices leave the set
     reached = 1
-    edges: list[tuple[int, int]] = []
+    levels = []
     while frontier.size:
         found = concat_neighbors(g, frontier)
         parent = np.repeat(frontier, g.degrees[frontier])
@@ -210,11 +217,11 @@ def spanning_certificate(g: Graph, members: list[int]) -> list[tuple[int, int]]:
         frontier, parent = found[claim], parent[claim]
         in_set[frontier] = False
         reached += frontier.size
-        edges.extend(zip(np.minimum(parent, frontier).tolist(),
-                         np.maximum(parent, frontier).tolist()))
-    if reached != len(members):
+        levels.append(np.column_stack((np.minimum(parent, frontier),
+                                       np.maximum(parent, frontier))))
+    if reached != members.size:
         raise CdsPackError("certificate requested for a disconnected set")
-    return edges
+    return np.concatenate(levels)
 
 
 def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
@@ -233,7 +240,7 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     free = np.zeros(g.n, dtype=bool)
     free[family.reservoir] = True
     sets_out: list[list[int]] = []
-    certs: list[list[tuple[int, int]]] = []
+    certs: list[np.ndarray] = []
     paths_out: list[PathRecord] = []
     connected_sets: list[int] = []
     failed_sets: list[int] = []
@@ -253,8 +260,12 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
                 f"internal vertices {bad} are not free reservoir vertices")
         free[internal] = False
         total_internal += len(internal)
-        members = sorted(set(family.sets[i]) | set(internal))
-        sets_out.append(members)
+        # the union as a vertex mask: np.union1d's np.unique imports numpy.ma
+        keep = np.zeros(g.n, dtype=bool)
+        keep[family.sets[i]] = True
+        keep[internal] = True
+        members = np.flatnonzero(keep)
+        sets_out.append(members.tolist())
         certs.append(spanning_certificate(g, members))
         for rec in recs:
             rec.set_index = len(connected_sets)  # index into the packing's sets

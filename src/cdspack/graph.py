@@ -364,7 +364,8 @@ def _checked_edges(body: bytes, n: int, m: int) -> np.ndarray:
 def load_graph(path) -> Graph:
     with open(path, "rb") as fh:
         raw = fh.read()
-    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    crs = b"\r" in raw
+    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if crs else raw
     head, _, body = data.partition(b"\n")
     header = head.decode("utf-8", errors="replace").split()
     if len(header) != 2:
@@ -373,7 +374,7 @@ def load_graph(path) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphFormatError(f"bad header: {exc}") from None
-    edges = _plain_edges(body, n, m) if b"\r" not in raw else None  # CRs: not plain
+    edges = None if crs else _plain_edges(body, n, m)  # CRs: not plain
     if edges is None:
         edges = _checked_edges(body, n, m)
     return Graph(n, edges)

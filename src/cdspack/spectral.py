@@ -20,7 +20,11 @@ seeded and therefore fixed for a given n; the theorem is proved in exact
 arithmetic, while the basis here is float32 (fully reorthogonalised, with
 the tridiagonal matrix accumulated in float64); and A'^2 cannot tell
 lambda_2 from lambda_n, which is why `spectrum` measures them separately.
-The bound needs numpy alone, so `pack` never imports SciPy.
+The bound needs numpy alone, so `pack` never imports SciPy, and no
+reduction in it runs through BLAS: the dot products, the start vector's
+norm and the reorthogonalisation products are `np.einsum` loops, whose
+sums do not split by BLAS thread count, so the bound has the same bits under
+any OPENBLAS_NUM_THREADS.
 
 `spectrum` measures lambda_2 and lambda_n by one Lanczos call (ARPACK, via
 SciPy, imported on first use) at both ends of A' in float64, to a relative
@@ -221,7 +225,7 @@ def _deflated_adjacency(g: Graph, d: int):
 
 
 def _dot64(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x.astype(np.float64), y.astype(np.float64)))
+    return float(np.einsum("i,i", x.astype(np.float64), y.astype(np.float64)))
 
 
 def _top_ritz_value(deflated, v0: np.ndarray, k: int) -> tuple[float, int]:
@@ -229,12 +233,12 @@ def _top_ritz_value(deflated, v0: np.ndarray, k: int) -> tuple[float, int]:
     and the number of steps taken.
 
     The basis is float32 and fully reorthogonalised (two Gram-Schmidt
-    passes); alpha = |A'q|^2 and beta are summed in float64, and so is the
-    tridiagonal matrix. The run stops early at breakdown, where the
-    residual is zero up to float32 rounding.
+    passes, by einsum rather than BLAS); alpha = |A'q|^2 and beta are summed
+    in float64, and so is the tridiagonal matrix. The run stops early at
+    breakdown, where the residual is zero up to float32 rounding.
     """
     basis = np.empty((k, v0.size), dtype=np.float32)
-    q = (v0 / np.linalg.norm(v0)).astype(np.float32)
+    q = (v0 / sqrt(np.einsum("i,i", v0, v0))).astype(np.float32)
     alpha: list[float] = []
     beta: list[float] = []
     for j in range(k):
@@ -247,7 +251,7 @@ def _top_ritz_value(deflated, v0: np.ndarray, k: int) -> tuple[float, int]:
         size = sqrt(_dot64(w, w))
         head = basis[:j + 1]
         for _ in range(2):
-            w -= (head @ w) @ head
+            w -= np.einsum("i,ij", np.einsum("ij,j", head, w), head)
         b = sqrt(_dot64(w, w))
         if b <= _BREAKDOWN * size:
             break

@@ -4,7 +4,12 @@ verify_packing trusts nothing it is handed: domination and connectivity of
 every set are re-derived by one `graph.label_components` call per packing,
 and certificates are only cross-checked afterwards, in array passes:
 membership and edge existence by binary search over sorted keys, and
-acyclicity by labelling the certificate's own edges. The brute-force oracles
+acyclicity by labelling the certificate's own edges. A certificate is an
+(m, 2) array, as the connector builds it, or a list of pairs, as JSON
+gives it. Each binary search runs on its queries in sorted order, which
+reads the keys in one forward sweep, and the per-vertex disjointness scan
+runs only when one pass over all members finds an out-of-range or repeated
+id. The brute-force oracles
 enumerate subsets directly from the definitions and are hard-guarded against
 accidental exponential runs.
 """
@@ -12,7 +17,7 @@ accidental exponential runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -86,22 +91,20 @@ def _certificate_faults(g: Graph, lab: SetComponents,
     checked = [j for j in certs if j not in faults]
     if not checked:
         return faults
-    edges = [e for j in checked for e in certs[j]]
+    ends = np.concatenate([_edge_ends(certs[j], n) for j in checked])
     of_set = np.repeat(checked, [len(certs[j]) for j in checked])[:, None]
-    # ids outside 0..n-1 are never members; -1 keeps them out of int64 range
-    ends = np.array([v if 0 <= v < n else -1 for e in edges for v in e],
-                    dtype=np.int64).reshape(-1, 2)
     # each key array ends in a sentinel above every query, so every
     # searchsorted position can be read
     item_keys = np.append(lab.owner * n + lab.vertex, k * n)
-    item = np.searchsorted(item_keys, of_set * n + ends)
-    leaves = ((item_keys[item] != of_set * n + ends) | (ends < 0)).any(axis=1)
+    query = of_set * n + ends
+    item = _sorted_search(item_keys, query)
+    leaves = ((item_keys[item] != query) | (ends < 0)).any(axis=1)
     csr_keys = np.empty(g.indices.size + 1, dtype=np.int64)
     np.multiply(g.row_index, n, out=csr_keys[:-1])
     csr_keys[:-1] += g.indices
     csr_keys[-1] = n * n
     want = ends[:, 0] * n + ends[:, 1]
-    missing = csr_keys[np.searchsorted(csr_keys, want)] != want
+    missing = csr_keys[_sorted_search(csr_keys, want)] != want
     bad = leaves | missing
     tree = np.flatnonzero(~bad)
     labels = min_labels(lab.owner.size, np.concatenate([item[tree, 0], item[tree, 1]]),
@@ -114,6 +117,27 @@ def _certificate_faults(g: Graph, lab: SetComponents,
             faults[j] = _first_fault(certs[j], leaves[lo:hi].tolist(),
                                      missing[lo:hi].tolist())
     return faults
+
+
+def _edge_ends(cert, n: int) -> np.ndarray:
+    """A certificate's edges as an (m, 2) int64 array; ids outside 0..n-1,
+    which are never members, read -1."""
+    if isinstance(cert, np.ndarray):
+        ends = cert.reshape(-1, 2).astype(np.int64, copy=False)
+        return np.where((ends >= 0) & (ends < n), ends, -1)
+    # JSON ids may lie past int64; -1 keeps them in range
+    return np.array([v if 0 <= v < n else -1 for e in cert for v in e],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """np.searchsorted(keys, queries), searched in ascending query order,
+    which reads `keys` in one forward sweep."""
+    flat = queries.ravel()
+    order = np.argsort(flat)  # equal queries share a position: any order
+    pos = np.empty(flat.size, dtype=np.int64)
+    pos[order] = np.searchsorted(keys, flat[order])
+    return pos.reshape(queries.shape)
 
 
 def _first_fault(cert, leaves: list[bool], missing: list[bool]) -> str:
@@ -153,23 +177,27 @@ def verify_packing(g: Graph, packing, target: int | None = None) -> Verification
     owner: dict[int, int] = {}
     disjoint = True
     out_of_range = set()
-    for i, members in enumerate(sets):
-        for v in members:
-            if not 0 <= v < g.n:
-                failures.append((i, "vertex out of range", v))
-                out_of_range.add(i)
-                continue
-            if v in owner:
-                disjoint = False
-                failures.append((i, f"vertex shared with set {owner[v]}", v))
-            else:
-                owner[v] = i
+    # one set over all members clears the common case; only a packing with
+    # an out-of-range or repeated id is scanned, to name each offender
+    ids = list(chain.from_iterable(sets))
+    if ids and not (len(set(ids)) == len(ids) and 0 <= min(ids) and max(ids) < g.n):
+        for i, members in enumerate(sets):
+            for v in members:
+                if not 0 <= v < g.n:
+                    failures.append((i, "vertex out of range", v))
+                    out_of_range.add(i)
+                    continue
+                if v in owner:
+                    disjoint = False
+                    failures.append((i, f"vertex shared with set {owner[v]}", v))
+                else:
+                    owner[v] = i
 
     checked = [i for i in range(len(sets)) if i not in out_of_range]
     lab = label_components(g, [sets[i] for i in checked])
     comps = np.bincount(lab.owner[lab.vertex == lab.root], minlength=len(checked)).tolist()
     faults = _certificate_faults(g, lab, {
-        j: certs[i] for j, i in enumerate(checked) if i < len(certs) and certs[i]})
+        j: certs[i] for j, i in enumerate(checked) if i < len(certs) and len(certs[i])})
 
     dominating = [False] * len(sets)
     connected = [False] * len(sets)

@@ -240,6 +240,20 @@ def test_report_is_one_line_of_json(tmp_path, capsys):
     assert json.loads(out)["spectral"]["lambda"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("trials", [1, 2])
+def test_report_reuses_the_packing_encoding(tmp_path, capsys, trials):
+    """The packing is encoded once: its file's text sits in the report,
+    which is byte for byte the encoding of the whole report in one call."""
+    rep_path, pack_path = tmp_path / "rep.json", tmp_path / "packing.json"
+    assert main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
+                 "--seed", "1", "--trials", str(trials), "--report", str(rep_path),
+                 "--packing-out", str(pack_path)]) == 0
+    out = capsys.readouterr().out
+    assert rep_path.read_text() == out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert out.count(pack_path.read_text()) == 1
+
+
 def test_tracing_sees_every_layer_once_per_use(tmp_path):
     """The benchmark's tracer wraps module attributes; each layer must be
     called through them, and load must run once per invocation."""

@@ -237,14 +237,15 @@ def test_neighbor_counts_match_per_vertex_count(seed):
             assert counts[v].tolist() == row
 
 
-@pytest.mark.parametrize("n,d", [(3000, 16), (1500, 32)])
+@pytest.mark.parametrize("n,d", [(3000, 16), (1500, 32), (1500, 64), (3000, 256)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_practice_stages_match_full_rescan(n, d, seed):
     g = random_regular(n, d, seed)
     a1, a2 = assert_stages_match_reference(g, practice_params(n, d), seed)
-    if d == 16:
-        # sparse enough that the first stage-two draw leaves classes missing
-        # from some neighborhoods, so stage two runs its repair branch
+    if d != 32:
+        # the first stage-two draw leaves some class counts outside the band
+        # (at d = 16, classes missing from some neighborhoods), so stage two
+        # runs its repair branch
         assert a2.resamples > a1.resamples
 
 
@@ -390,6 +391,16 @@ def test_pack_params_stage_one_converges_at_degree_eight(seed):
     out = stage_one(g, pars, seed, max_resamples=g.n - 1)
     counts = _neighbor_counts(g, column_labels(out.c1, pars.r1), pars.r1 + 1)
     assert (counts >= stage_one_thresholds(pars)[0]).all()
+
+
+def test_sparse_gen_repair_counts():
+    # the benchmark's sparse workload, pack --n 50000 --d 16 --seed 1: its
+    # lambda bound and pack's epsilon give r1 = 1, r2 = 3
+    g = random_regular(50000, 16, 1)
+    pars = derive_params(50000, 16, lambda_bound(g).bound, 0.3, "practice")
+    a1 = stage_one(g, pars, 1)
+    a2 = stage_two(g, a1, pars, 1)
+    assert (a1.resamples, a2.resamples - a1.resamples) == (4503, 887)
 
 
 def test_stage_two_impossible_band_exhausts():

@@ -366,6 +366,7 @@ def _layouts():
         "sorted": head + "\n" + "\n".join(lines) + "\n",
         "shuffled": head + "\n" + "\n".join(shuffled) + "\n",
         "crlf": head + "\r\n" + "\r\n".join(shuffled) + "\r\n",
+        "cr": head + "\r" + "\r".join(shuffled) + "\r",
         "blank-lines": head + "\n\n" + "\n\n".join(shuffled) + "\n\n\n",
         "trailing-space": head + " \n" + "".join(f" {x}\t \n" for x in shuffled),
         "no-final-newline": head + "\n" + "\n".join(shuffled),
@@ -400,8 +401,8 @@ def test_loader_matches_reference(tmp_path, name):
 
 @pytest.mark.parametrize("name, general", [
     ("sorted", False), ("shuffled", False), ("leading-zeros", False),
-    ("saved", False), ("crlf", True), ("blank-lines", True), ("signs", True),
-    ("trailing-space", True), ("double-space", True), ("tab", True),
+    ("saved", False), ("crlf", True), ("cr", True), ("blank-lines", True),
+    ("signs", True), ("trailing-space", True), ("double-space", True), ("tab", True),
     ("rejection-reversed", True)])
 def test_only_the_plain_layout_skips_the_tokeniser(tmp_path, monkeypatch, name, general):
     """A plain file is parsed without `_int_tokens`; every other layout, and a
@@ -460,6 +461,9 @@ def test_certificate_matches_reference_bfs():
             with pytest.raises(CdsPackError):
                 spanning_certificate(g, s)
             continue
-        assert spanning_certificate(g, s) == expected  # same edges, same order
+        cert = spanning_certificate(g, s)
+        assert cert.dtype == np.int64 and cert.shape == (len(expected), 2)
+        # row by row: same edges, same order, each as (lower, higher)
+        assert [tuple(row) for row in cert.tolist()] == expected
         connected += 1
     assert connected > 20

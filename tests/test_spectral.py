@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from cdspack import spectral
 from cdspack.rand import rng_for
 from cdspack.spectral import (DENSE_LIMIT, _dense_extremal, _iterative_extremal,
                               lanczos_steps)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def mixing_slack(g, lam, a, b):
@@ -269,6 +275,24 @@ def test_bound_stops_at_breakdown():
     bound = lambda_bound(g)
     assert bound.method == "lanczos" and bound.steps == 2 < lanczos_steps(600)
     assert bound.bound == pytest.approx(315.0, rel=1e-6)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_bound_does_not_depend_on_blas_threads():
+    """The same bits under one and two BLAS threads: no reduction of the
+    bound runs through BLAS, whose sums split by thread count."""
+    script = ("from cdspack import lambda_bound, random_regular\n"
+              "print(lambda_bound(random_regular(20000, 64, 1)).bound.hex())\n")
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout)
+    assert bits[0] == bits[1]
 
 
 def test_bound_closed_forms():

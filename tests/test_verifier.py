@@ -277,6 +277,29 @@ def test_verify_packing_matches_set_by_set_reference():
         assert kind in seen, kind
 
 
+def test_array_certificates_read_as_their_lists():
+    """A certificate given as an (m, 2) int64 array, as the connector builds
+    it, gives the same report as its JSON list, faults included."""
+    rng = rng_for(131)
+    reasons = Counter()
+    for i in range(60):
+        g = binomial_random(int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)),
+                            seed=i)
+        sets = [rng.permutation(g.n)[:int(rng.integers(1, g.n + 1))].tolist()
+                for _ in range(int(rng.integers(1, 4)))]
+        certs = [random_certificate(rng, g, s) for s in sets]
+        # every id but 2**70 fits int64; such a certificate stays a list
+        arrays = [np.array(c, dtype=np.int64).reshape(-1, 2)
+                  if all(abs(v) < 2**63 for e in c for v in e) else c for c in certs]
+        want = verify_packing(g, CdsPacking(None, sets, certs, [])).to_json()
+        assert verify_packing(g, CdsPacking(None, sets, arrays, [])).to_json() == want
+        reasons.update(reason for _, reason, _ in want["failures"])
+    seen = " | ".join(reasons)
+    for kind in ("edges, expected", "leaves the set", "is not a graph edge",
+                 "closes a cycle"):
+        assert kind in seen, kind
+
+
 def test_brute_force_min_cds_examples():
     star = Graph(6, [(0, i) for i in range(1, 6)])
     assert brute_force_min_cds(star) == (1, [0])
