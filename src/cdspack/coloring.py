@@ -1,27 +1,26 @@
 """Two-stage seeded random coloring with bad-event repair.
 
-Stage one assigns every vertex to the reservoir (probability b_prob), to one
-of r1 first-stage colors (probability p1 each), or leaves it uncolored (only
-possible through floating-point edge cases, since b_prob + r1*p1 = 1). Stage
-two refines each colored vertex with a uniform second-stage color in [r2].
-Those two draws are the only random numbers: every later step is fixed by
-the labels.
+Stage one assigns every vertex to the reservoir (probability b_prob) or to
+one of r1 first-stage colors (probability p1 each); there is no third
+outcome. Stage two refines each colored vertex with a uniform second-stage
+color in [r2]. Those two draws are the only random numbers: every later step
+is fixed by the labels.
 
 Each stage keeps one count matrix, counts[v, c] = the neighbors of v in
 column c, and gives each column an integer window lo[c] <= x < hi[c]. Stage
 one's columns are the colors 0..r1-1 and the reservoir r1; stage two's are
-the d_star classes c*r2 + c'. An uncolored vertex sits in column -1, which
-is not counted. An entry outside its window is a bad event. Both stages loop
-while one is left, always fixing the lowest flat index (row-major) by a
-minimum-collateral repair: one of the vertices the event depends on (N(v)
-in stage one, v's c-colored neighbors in stage two) moves into the short
-column or, for a count at or above hi, out of the crowded one into v's
-emptiest other column (in stage two, v's emptiest other class of color c; a
-color with one class cannot repair an over-full event). The vertex moved is
-the candidate whose move drops the fewest count entries below their window,
-ties to the lowest id. Moser-Tardos resampling of the whole neighborhood
-breaks about as many events as it fixes at desk scale and may never settle;
-a one-vertex repair does.
+the d_star classes c*r2 + c', where a reservoir vertex sits in column -1,
+which is not counted. An entry outside its window is a bad event. Both
+stages loop while one is left, always fixing the lowest flat index
+(row-major) by a minimum-collateral repair: one of the vertices the event
+depends on (N(v) in stage one, v's c-colored neighbors in stage two) moves
+into the short column or, for a count at or above hi, out of the crowded one
+into v's emptiest other column (in stage two, v's emptiest other class of
+color c; a color with one class cannot repair an over-full event). The
+vertex moved is the candidate whose move drops the fewest count entries
+below their window, ties to the lowest id. Moser-Tardos resampling of the
+whole neighborhood breaks about as many events as it fixes at desk scale and
+may never settle; a one-vertex repair does.
 
 Both stages run one repair loop, `_settle`, on Python scalars: a repair
 reads a few rows of 16 to 256 entries, where each numpy call would cost more
@@ -50,8 +49,8 @@ Theory mode never reaches this module on a graph that fits in memory: its
 parameter gate rejects every degree below 332105 (see `params`).
 
 build_family labels all d_star classes in one `graph.label_components` call,
-which gives both whether each class dominates and the lowest vertex of each
-of its components; the connector takes those as its representatives.
+which gives both whether each class dominates and its components; the
+family carries those components on to the connector.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .params import PackingParams
 from .rand import rng_for
 
 RESERVOIR = -1
-UNCOLORED = -2
 
 _STAGE1_TAG = 11
 _STAGE2_TAG = 12
@@ -81,7 +79,7 @@ RESAMPLE_FACTOR = 100  # cap = RESAMPLE_FACTOR * n per stage
 class ColorAssignment:
     """Per-vertex labels after a coloring stage.
 
-    c1[v] is RESERVOIR, UNCOLORED, or a first-stage color in [0, r1).
+    c1[v] is RESERVOIR or a first-stage color in [0, r1).
     c2[v] is -1 until stage two assigns a second-stage color in [0, r2).
     `resamples` counts the repair steps of this stage and the ones before
     it.
@@ -98,17 +96,21 @@ class ColorAssignment:
 class DominatingFamily:
     """Reservoir plus d_star disjoint dominating sets and their components.
 
-    `representatives[i]` holds the lowest vertex of each component of
-    `sets[i]`, in ascending order.
+    `components[i]` holds the components of the subgraph `sets[i]` induces
+    as sorted int64 vertex arrays, ordered by lowest vertex.
     """
 
     reservoir: list[int]
     sets: list[list[int]]
-    representatives: list[list[int]]
+    components: list[list[np.ndarray]]
+
+    @property
+    def representatives(self) -> list[list[int]]:  # lowest vertex per component
+        return [[int(c[0]) for c in comps] for comps in self.components]
 
     @property
     def component_counts(self) -> list[int]:
-        return [len(reps) for reps in self.representatives]
+        return [len(comps) for comps in self.components]
 
     def to_json(self) -> dict:
         return {
@@ -123,13 +125,11 @@ def _draw_columns(rng: np.random.Generator, size: int, b_prob: float,
     """Draw `size` stage-one labels as count-matrix columns.
 
     One uniform u per vertex: u < b_prob is the reservoir (column r1), else
-    color floor((u - b_prob) / p1) when below r1, else uncolored (-1).
+    color floor((u - b_prob) / p1), clamped to r1 - 1, which only rounding
+    passes (u just below 1 can land on r1).
     """
     u = rng.random(size)
-    cols = np.full(size, -1, dtype=np.int64)
-    if p1 > 0:
-        c = np.floor((u - b_prob) / p1)
-        np.copyto(cols, c, casting="unsafe", where=c < r1)
+    cols = np.minimum(np.floor((u - b_prob) / p1), r1 - 1).astype(np.int64)
     cols[u < b_prob] = r1
     return cols
 
@@ -138,7 +138,6 @@ def _stage_one_labels(cols: np.ndarray, r1: int) -> np.ndarray:
     """Count-matrix columns back to stage-one labels."""
     c1 = cols.astype(np.int32)
     c1[cols == r1] = RESERVOIR
-    c1[cols < 0] = UNCOLORED
     return c1
 
 
@@ -207,14 +206,11 @@ def _settle(g: Graph, counts: np.ndarray, labels: np.ndarray, lo: np.ndarray,
                 return steps, (v, col, group, flags.count(1))
         else:
             target = col
-        best = row = None
+        best = None
         for w in group:
             c = lab[w]
             if (c == col) != over:
                 continue
-            if c < 0:  # leaving "uncolored" changes no count
-                best, row = w, None
-                break
             nbrs = indices[ptr[w]:ptr[w + 1]].tolist()
             edge = lo[c]
             score = sum(1 for u in nbrs if flat[u * ncols + c] <= edge)
@@ -224,21 +220,11 @@ def _settle(g: Graph, counts: np.ndarray, labels: np.ndarray, lo: np.ndarray,
                     break
         if best is None:
             return steps, (v, col, group, flags.count(1))
-        if row is None:
-            row = indices[ptr[best]:ptr[best + 1]].tolist()
         old = lab[best]
         lab[best] = target
         # a +-1 step changes a flag only across lo - 1 | lo or hi - 1 | hi
-        up_lo, up_hi = lo[target], hi[target]
-        if old < 0:
-            for u in row:
-                i = u * ncols + target
-                x = flat[i] + 1
-                flat[i] = x
-                if x == up_lo or x == up_hi:
-                    _retest(i, x, up_lo, up_hi, flags, heap)
-            continue
         down_lo, down_hi = lo[old], hi[old]
+        up_lo, up_hi = lo[target], hi[target]
         shift = target - old
         for u in row:
             i = u * ncols + old
@@ -387,15 +373,15 @@ def build_family(g: Graph, stage2_out: ColorAssignment,
                 "dominating", witness=v,
                 detail=f"vertex {v} has no neighbor in set {i}")
     comp_bound = 20 * n / (params.epsilon ** 2 * params.d)
-    representatives = classes.lowest()
-    for i, reps in enumerate(representatives):
-        if len(reps) > comp_bound:
+    components = classes.lowest()
+    for i, comps in enumerate(components):
+        if len(comps) > comp_bound:
             raise PostconditionViolation(
                 "component-count", witness=i,
-                detail=f"set {i} has {len(reps)} components, bound {comp_bound:.3f}")
+                detail=f"set {i} has {len(comps)} components, bound {comp_bound:.3f}")
 
     return DominatingFamily(
         reservoir=reservoir.tolist(),
         sets=sets,
-        representatives=representatives,
+        components=components,
     )

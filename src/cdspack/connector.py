@@ -1,8 +1,10 @@
 """Connect each dominating set through the reservoir.
 
-A set's classes start as the components of the subgraph it induces. While
-more than one is left, the smallest class (ties go to its lowest vertex)
-searches level by level through the free reservoir vertices no class holds.
+A set's classes start as the components of the subgraph it induces, which
+`build_family` labelled and `DominatingFamily.components` carries; the
+connector labels nothing again. While more than one is left, the smallest
+class (ties go to its lowest vertex) searches level by level through the
+free reservoir vertices no class holds.
 The first level that reaches a vertex of another class ends the search: the
 lowest such vertex, reached from its first discoverer in frontier order,
 closes a shortest free-reservoir path between the two classes, and the path
@@ -27,7 +29,7 @@ import numpy as np
 
 from .coloring import DominatingFamily
 from .errors import CdsPackError, NoCrossEdge, PackingFormatError, VerificationFailed
-from .graph import Graph, concat_neighbors, label_components
+from .graph import Graph, concat_neighbors
 from .params import PackingParams
 from .verifier import VerificationReport, verify_packing
 # unused here, but perfbench/trace_pack.py wraps this connector attribute
@@ -153,20 +155,17 @@ def _shortest_join(g: Graph, sources: np.ndarray, cls: np.ndarray,
     return None
 
 
-def connect_one(g: Graph, members: list[int], free: np.ndarray,
+def connect_one(g: Graph, components: list[np.ndarray], free: np.ndarray,
                 set_index: int) -> list[PathRecord]:
     """Join the components of one set by shortest free-reservoir paths.
 
-    `free` marks the reservoir vertices that no earlier set's path uses; it
-    is only read. Each round joins the smallest class to its nearest one, so
-    there is one class fewer per round. Raises NoCrossEdge when a class can
-    reach no other.
+    `components` are the set's components as sorted int64 vertex arrays,
+    ordered by lowest vertex, and `free` marks the reservoir vertices that
+    no earlier set's path uses; both are only read. Each round joins the
+    smallest class to its nearest one, so there is one class fewer per
+    round. Raises NoCrossEdge when a class can reach no other.
     """
-    lab = label_components(g, [members])
-    order = np.argsort(lab.root, kind="stable")
-    roots, vertices = lab.root[order], lab.vertex[order]
-    cuts = np.flatnonzero(roots[1:] != roots[:-1]) + 1
-    classes = dict(enumerate(np.split(vertices, cuts)))  # each sorted ascending
+    classes = dict(enumerate(components))
     cls = np.full(g.n, -1, dtype=np.int64)
     for c, vs in classes.items():
         cls[vs] = c
@@ -247,9 +246,9 @@ def connect_family(g: Graph, family: DominatingFamily, params: PackingParams,
     total_internal = 0
     for i in range(count):
         recs: list[PathRecord] = []
-        if family.component_counts[i] > 1:
+        if len(family.components[i]) > 1:
             try:
-                recs = connect_one(g, family.sets[i], free, i)
+                recs = connect_one(g, family.components[i], free, i)
             except NoCrossEdge:
                 failed_sets.append(i)
                 continue

@@ -89,7 +89,9 @@ def _pairing_attempt(rng: np.random.Generator, n: int, d: int) -> np.ndarray | N
 
 def _suitable(stubs: np.ndarray, existing: np.ndarray, n: int) -> bool:
     """True if some pair of leftover stubs could still become a new edge."""
-    left = np.unique(stubs)
+    # distinct by sort and mask: np.unique(stubs) imports numpy.ma on numpy 2.4
+    left = np.sort(stubs)
+    left = left[np.r_[True, left[1:] != left[:-1]]]
     if left.size <= 1:
         return False
     if left.size > 2000:

@@ -165,7 +165,8 @@ class SetComponents(NamedTuple):
     vertex: item i is vertex `vertex[i]` of set `owner[i]`, and `root[i]` is
     the lowest vertex of its component in the subgraph that set induces.
     `uncovered[j]` is the lowest vertex outside the closed neighbourhood of
-    set j, or n when set j dominates the graph.
+    set j, or n when set j dominates the graph. `lowest()` splits the items
+    into each set's components.
     """
 
     owner: np.ndarray
@@ -173,12 +174,18 @@ class SetComponents(NamedTuple):
     root: np.ndarray
     uncovered: np.ndarray
 
-    def lowest(self) -> list[list[int]]:
-        """Each set's lowest vertex per component, in ascending order."""
-        first = self.vertex == self.root
-        lowest = self.vertex[first].tolist()
-        bounds = np.searchsorted(self.owner[first], np.arange(self.uncovered.size + 1))
-        return [lowest[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    def lowest(self) -> list[list[np.ndarray]]:
+        """Each set's components as sorted int64 vertex arrays, ordered by
+        their lowest vertex."""
+        # stable, so each (owner, root) run keeps its vertices ascending and
+        # starts at its root
+        order = np.lexsort((self.root, self.owner))
+        vertex = self.vertex[order]
+        starts = np.flatnonzero(vertex == self.root[order])
+        comps = np.split(vertex, starts[1:])
+        bounds = np.searchsorted(self.owner[order][starts],
+                                 np.arange(self.uncovered.size + 1))
+        return [comps[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def label_components(g: Graph, sets) -> SetComponents:
@@ -251,13 +258,8 @@ def components_of(g: Graph, s) -> list[list[int]]:
 
     Each component is sorted; components are ordered by smallest member.
     """
-    lab = label_components(g, [vertex_set(s, g.n)])
-    order = np.argsort(lab.root, kind="stable")
-    roots, members = lab.root[order], lab.vertex[order]
-    if members.size == 0:
-        return []
-    cuts = np.flatnonzero(roots[1:] != roots[:-1]) + 1
-    return [comp.tolist() for comp in np.split(members, cuts)]
+    comps, = label_components(g, [vertex_set(s, g.n)]).lowest()
+    return [comp.tolist() for comp in comps]
 
 
 # -- edge-list text format ----------------------------------------------

@@ -1,5 +1,10 @@
 """Derivation of every constant the packing pipeline consumes.
 
+`PackingParams` stores only free values: epsilon, the colour grid r1 x r2,
+theory mode's m, D, s and the inputs. d_star = r1*r2, b_prob = eps^2,
+p1 = (1 - eps^2)/r1 and p2 = 1/r2 are read-only properties derived from
+them. Since r1, r2 >= 1 and eps > 0, p1 < 1 and d_star >= 1 always hold.
+
 Theory mode applies the asymptotic formulas verbatim, including the
 joinedness scale m, the extendability degree D and the forest budget
 s = n - 2Dm - 3m under which the paper's connector is proved, and rejects
@@ -24,12 +29,8 @@ from .errors import InfeasibleParameters
 @dataclass
 class PackingParams:
     epsilon: float
-    d_star: int          # target packing size, reconciled to r1*r2
     r1: int              # first-stage color count
     r2: int              # second-stage color count
-    p1: float            # per-color probability, stage one
-    p2: float            # per-color probability, stage two
-    b_prob: float        # reservoir probability epsilon^2
     mode: str            # "theory" | "practice"
     m: int | None = None  # joinedness scale, theory mode only
     D: int | None = None  # extendability degree, theory mode only
@@ -39,6 +40,22 @@ class PackingParams:
     lambda_used: float = 0.0
     d_star_target: int = 0  # floor((1-eps) d / ln d) before grid reconciliation
     warnings: list = field(default_factory=list)
+
+    @property
+    def d_star(self) -> int:  # target packing size, reconciled to r1*r2
+        return self.r1 * self.r2
+
+    @property
+    def b_prob(self) -> float:  # reservoir probability epsilon^2
+        return self.epsilon ** 2
+
+    @property
+    def p1(self) -> float:  # per-color probability, stage one
+        return (1 - self.epsilon ** 2) / self.r1
+
+    @property
+    def p2(self) -> float:  # per-color probability, stage two
+        return 1.0 / self.r2
 
     def to_json(self) -> dict:
         return {
@@ -86,10 +103,6 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
         # stages meaningful while preserving r1*r2 = d_star
         r2 = max(1, round(lg))
     r1 = max(1, d_star_target // r2)
-    d_star = r1 * r2
-    p1 = (1 - epsilon ** 2) / r1
-    p2 = 1.0 / r2
-    b_prob = epsilon ** 2
 
     m = D = s = None
     problems: list[str] = []
@@ -101,12 +114,8 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
             raise InfeasibleParameters(f"s = {s} <= 0 (n={n}, m={m}, D={D})")
         if D < 3:
             problems.append(f"D = {D} < 3")
-    if p1 > 1:
-        problems.append(f"p1 = {p1:.6g} > 1")
-    if d_star < 1:
-        problems.append(f"d_star = {d_star} < 1")
     # stage two's band: more than eps^2 ln d neighbours in each class
-    need = d_star * (floor(epsilon ** 2 * lg) + 1)
+    need = r1 * r2 * (floor(epsilon ** 2 * lg) + 1)
     if d < need:
         problems.append(f"stage two: d = {d} < d_star * "
                         f"(floor(eps^2 ln d) + 1) = {need}")
@@ -114,8 +123,7 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
         raise InfeasibleParameters("; ".join(problems))
 
     return PackingParams(
-        epsilon=epsilon, d_star=d_star, r1=r1, r2=r2, p1=p1, p2=p2,
-        b_prob=b_prob, m=m, D=D, s=s, mode=mode,
+        epsilon=epsilon, r1=r1, r2=r2, m=m, D=D, s=s, mode=mode,
         n=n, d=d, lambda_used=lam, d_star_target=d_star_target,
         warnings=[f"feasibility: {p}" for p in problems],
     )

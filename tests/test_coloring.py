@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from cdspack import (binomial_random, build_family, derive_params,
                      lambda_bound, random_regular, stage_one, stage_two)
 from cdspack.coloring import (_STAGE1_TAG, _STAGE2_TAG, RESAMPLE_FACTOR,
-                              RESERVOIR, UNCOLORED, ColorAssignment,
+                              RESERVOIR, ColorAssignment, _draw_columns,
                               _neighbor_counts, stage_one_thresholds,
                               stage_two_thresholds)
 from cdspack.errors import PostconditionViolation, ResampleBudgetExhausted
@@ -29,20 +28,16 @@ def practice_params(n, d, eps=0.4):
 
 def draw_stage1(rng, size, b_prob, p1, r1):
     u = rng.random(size)
-    out = np.full(size, UNCOLORED, dtype=np.int32)
-    out[u < b_prob] = RESERVOIR
+    out = np.full(size, RESERVOIR, dtype=np.int32)
     rest = u >= b_prob
-    if p1 > 0:
-        c = np.floor((u[rest] - b_prob) / p1).astype(np.int64)
-        ok = c < r1
-        out[np.flatnonzero(rest)[ok]] = c[ok].astype(np.int32)
+    c = np.floor((u[rest] - b_prob) / p1).astype(np.int64)
+    out[rest] = np.minimum(c, r1 - 1)  # rounding may reach r1
     return out
 
 
 def column_labels(c1, r1):
     lab = c1.astype(np.int64).copy()
     lab[c1 == RESERVOIR] = r1
-    lab[c1 == UNCOLORED] = -1
     return lab
 
 
@@ -107,8 +102,6 @@ def repair_column(g, counts, c1, v, col, lo, hi, r1):
     def broken(w):
         # entries of w's old column that its move leaves below their bound
         old = int(column_labels(c1[[w]], r1)[0])
-        if old < 0:
-            return 0
         return sum(1 for u in g.neighbors(w).tolist()
                    if counts[u, old] - 1 < lo[old])
 
@@ -221,7 +214,7 @@ def bad_event_count(exc_info) -> int:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_neighbor_counts_match_per_vertex_count(seed):
-    # uneven degrees, isolated vertices and uncolored (-1) labels
+    # uneven degrees, isolated vertices and -1 labels (stage two's reservoir)
     g = binomial_random(300, 0.01, seed)
     assert (g.degrees == 0).any()
     rng = np.random.default_rng(seed)
@@ -263,23 +256,27 @@ def test_non_regular_graph_matches_full_rescan(seed):
     assert a1.resamples > 0 and a2.resamples > a1.resamples
 
 
-# r1 = 1 and p1 = 0.35: about half the vertices draw no label, and stage
-# one's repairs move some of them into a column
-@pytest.mark.parametrize("seed", [pytest.param(seed, id=f"practice-{seed}")
-                                  for seed in (1, 2, 3)])
-def test_uncolored_vertices_match_full_rescan(seed):
-    g = random_regular(400, 24, seed)
-    pars = replace(practice_params(400, 24), p1=0.35)
-    th1 = (np.array([3.0, 1.0]), np.full(2, np.inf))
-    a1, _ = assert_stages_match_reference(g, pars, seed, th1, (-1.0, np.inf))
-    assert (a1.c1 == UNCOLORED).any()
+class _AlmostOne:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_draw_never_leaves_a_vertex_uncolored():
+    # pack's (20000, 256) defaults: eps = 0.3 and r1 = 5, where
+    # (u - b_prob) / p1 rounds up to 5 for u just below 1; such a draw takes
+    # the last color instead of column -1
+    pars = derive_params(20000, 256, 30.0, 0.3, "practice")
+    assert pars.r1 == 5
+    cols = _draw_columns(_AlmostOne(), 3, pars.b_prob, pars.p1, pars.r1)
+    assert cols.tolist() == [4, 4, 4]
 
 
 def test_stage_one_degenerate_single_color():
     g = random_regular(200, 12, 0)
-    pars = PackingParams(epsilon=0.4, d_star=1, r1=1, r2=1, p1=1 - 0.16, p2=1.0,
-                         b_prob=0.16, m=2, D=8, s=150, mode="practice",
-                         n=200, d=12)
+    pars = PackingParams(epsilon=0.4, r1=1, r2=1, m=2, D=8, s=150,
+                         mode="practice", n=200, d=12)
     out = stage_one(g, pars, 5)
     assert set(np.unique(out.c1)) <= {RESERVOIR, 0}
 
@@ -424,8 +421,7 @@ def test_stage_two_single_class_color_cannot_repair_overfull():
     # with r2 = 1 an over-full class has no other class of its color to move
     # a vertex into: the repair stops at the first event rather than spin
     g = random_regular(300, 12, 4)
-    pars = PackingParams(epsilon=0.4, d_star=2, r1=2, r2=1, p1=0.42, p2=1.0,
-                         b_prob=0.16, mode="practice", n=300, d=12)
+    pars = PackingParams(epsilon=0.4, r1=2, r2=1, mode="practice", n=300, d=12)
     a1 = stage_one(g, pars, 2, thresholds=(np.zeros(3), np.full(3, np.inf)))
     th = (-1.0, 1.0)
     with pytest.raises(ResampleBudgetExhausted) as got:
@@ -451,9 +447,8 @@ def test_stage_two_preserves_stage_one():
 
 def test_stage_two_r2_one_is_identity_relabel():
     g = random_regular(200, 12, 0)
-    pars = PackingParams(epsilon=0.4, d_star=2, r1=2, r2=1, p1=0.42, p2=1.0,
-                         b_prob=0.16, m=2, D=8, s=150, mode="practice",
-                         n=200, d=12)
+    pars = PackingParams(epsilon=0.4, r1=2, r2=1, m=2, D=8, s=150,
+                         mode="practice", n=200, d=12)
     # lenient stage-one bounds: just per-color coverage, so that the r2=1
     # band (count >= 1 per class) is already satisfied going in
     lo = np.array([1.0, 1.0, 0.0])
@@ -506,8 +501,9 @@ def test_build_family_rejects_tampering():
     g = random_regular(600, 16, 3)
     pars = practice_params(600, 16)
     a2 = stage_two(g, stage_one(g, pars, 1), pars, 1)
-    a2.c1 = a2.c1.copy()
-    a2.c1[a2.c1 == RESERVOIR] = UNCOLORED  # empty the reservoir
+    # empty the reservoir into the first class
+    emptied = a2.c1 == RESERVOIR
+    a2.c1, a2.c2 = np.where(emptied, 0, a2.c1), np.where(emptied, 0, a2.c2)
     with pytest.raises(PostconditionViolation, match="reservoir-degree"):
         build_family(g, a2, pars)
 

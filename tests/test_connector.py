@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+import cdspack
 from cdspack import (Graph, choose_representatives, complete_graph,
-                     connect_family, derive_params, random_regular,
-                     verify_packing, build_family, stage_one, stage_two)
+                     connect_family, derive_params, lambda_bound, pipeline,
+                     random_regular, verify_packing, build_family, stage_one,
+                     stage_two)
 from cdspack.coloring import DominatingFamily
 from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError
@@ -26,15 +29,16 @@ def two_cliques_with_reservoir():
 
 
 def crafted_params(**kw):
-    base = dict(epsilon=0.4, d_star=1, r1=1, r2=1, p1=0.84, p2=1.0,
-                b_prob=0.16, mode="practice", n=40, d=20, lambda_used=10.0)
+    base = dict(epsilon=0.4, r1=1, r2=1, mode="practice", n=40, d=20,
+                lambda_used=10.0)
     base.update(kw)
     return PackingParams(**base)
 
 
 def path_bound(n, k):
-    """2 ln(n/k)/ln 3 + 1: theory mode's bound on a path found with k classes
-    left, at tree arity D/2 - 1 = 3 (D = 8)."""
+    """2 ln(n/k)/ln 3 + 1: a logarithmic cap on the length of a path found
+    with k classes left. Connector paths are shortest reservoir paths, so on
+    the expanders tested here they stay below it."""
     return 2 * math.log(n / k) / math.log(3) + 1
 
 
@@ -59,6 +63,14 @@ def lowest_per_component(g, members):
     return sorted(min(comp) for comp in plain_components(g, members))
 
 
+def family(g, reservoir, sets):
+    """A DominatingFamily by hand, its components found by a plain search."""
+    components = [[np.array(sorted(comp), dtype=np.int64)
+                   for comp in sorted(plain_components(g, s), key=min)]
+                  for s in sets]
+    return DominatingFamily(reservoir=reservoir, sets=sets, components=components)
+
+
 def generated_family():
     g = random_regular(400, 8, 2)
     pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice")
@@ -66,26 +78,29 @@ def generated_family():
     return g, fam, pars
 
 
-def test_choose_representatives_components_and_padding():
+def test_choose_representatives_gives_lowest_vertex_per_component():
     g, reservoir = two_cliques_with_reservoir()
-    # the lowest vertex of each component, found once by build_family; extra
-    # vertices of an already-seeded component are not padded in
+    # the lowest vertex of each component, whatever else the component holds
     for members in ([0, 1, 10], [0, 1, 2, 10, 11]):
-        fam = DominatingFamily(reservoir=reservoir, sets=[members],
-                               representatives=[lowest_per_component(g, members)])
+        fam = family(g, reservoir, [members])
         assert fam.component_counts == [2]
         assert choose_representatives(g, fam) == [[0, 10]]
 
 
-def test_padding_arithmetic_on_generated_instance():
+def test_generated_family_carries_each_sets_components():
     g, fam, _ = generated_family()
     reps = choose_representatives(g, fam)
-    assert reps is fam.representatives  # not a second components pass
-    # one representative per component, not max(k, min(ceil(n/(2d)), |S|))
+    assert reps == fam.representatives
+    # one representative per component
     for members, x, k in zip(fam.sets, reps, fam.component_counts):
         assert len(x) == k
         assert set(x) <= set(members)
     assert reps == [lowest_per_component(g, members) for members in fam.sets]
+    # build_family's components: sorted int64 arrays, ordered by lowest vertex
+    for members, comps in zip(fam.sets, fam.components):
+        assert all(c.dtype == np.int64 for c in comps)
+        assert [c.tolist() for c in comps] == [
+            sorted(c) for c in sorted(plain_components(g, members), key=min)]
 
 
 def test_generated_instance_stitches_each_component_once():
@@ -99,10 +114,30 @@ def test_generated_instance_stitches_each_component_once():
     assert_paths_are_shortest(g, fam, packing)
 
 
-def test_one_path_per_missing_join_not_per_padded_representative():
+def test_pack_labels_components_once_per_family_and_once_per_verification(
+        monkeypatch):
+    # every class of (20000, 16, 6) needs stitching; the connector joins the
+    # components build_family labelled instead of labelling each set again
+    real, labelled = cdspack.graph.label_components, []
+
+    def counted(g, sets):
+        labelled.append(len(sets))
+        return real(g, sets)
+
+    for module in (cdspack.graph, cdspack.coloring, cdspack.connector,
+                   cdspack.verifier):
+        if hasattr(module, "label_components"):
+            monkeypatch.setattr(module, "label_components", counted)
+    g = random_regular(20000, 16, 6)
+    result = pipeline.run(g, lambda_bound(g).bound, 6, 0.3)
+    assert result.error is None and result.verification.failures == []
+    assert result.family.component_counts == [5, 2, 2]
+    assert labelled == [3, 3]  # build_family's classes, the verified sets
+
+
+def test_one_path_per_missing_join():
     g, reservoir = two_cliques_with_reservoir()
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 1, 2, 10, 11]],
-                           representatives=[[0, 10]])
+    fam = family(g, reservoir, [[0, 1, 2, 10, 11]])
     packing = connect_family(g, fam, crafted_params(d=4))
     assert len(packing.paths) == 1
     assert set(packing.paths[0].endpoints) == {0, 10}
@@ -110,8 +145,7 @@ def test_one_path_per_missing_join_not_per_padded_representative():
 
 def test_connect_two_components_single_path():
     g, reservoir = two_cliques_with_reservoir()
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
-                           representatives=[[0, 10]])
+    fam = family(g, reservoir, [[0, 10]])
     packing = connect_family(g, fam, crafted_params())
     assert len(packing.sets) == 1
     assert len(packing.paths) == 1
@@ -137,8 +171,7 @@ def test_connect_three_components_two_paths():
         for v in groups[0] + groups[1] + groups[2]:
             edges.append((min(r, v), max(r, v)))
     g = Graph(40, edges)
-    fam = DominatingFamily(reservoir=groups[3], sets=[[0, 6, 12]],
-                           representatives=[[0, 6, 12]])
+    fam = family(g, groups[3], [[0, 6, 12]])
     packing = connect_family(g, fam, crafted_params())
     assert len(packing.paths) == 2
     internals = [v for p in packing.paths for v in p.internal]
@@ -159,10 +192,9 @@ def test_failed_set_gives_back_its_paths():
     edges += [(v, r) for v in groups[2] for r in groups[3]]
     edges += [(11, 22)]
     g = Graph(41, edges)
-    fam = DominatingFamily(reservoir=[20] + groups[3],
-                           sets=[[0, 10, 21], [1, 11, 22]],
-                           representatives=[[0, 10, 21], [1, 11]])
-    packing = connect_family(g, fam, crafted_params(n=41, d_star=2))
+    fam = family(g, [20] + groups[3], [[0, 10, 21], [1, 11, 22]])
+    assert fam.representatives == [[0, 10, 21], [1, 11]]
+    packing = connect_family(g, fam, crafted_params(n=41, r1=2))
     assert packing.meta["failed_sets"] == [0]
     assert packing.meta["family_indices"] == [1]
     assert packing.sets == [[1, 11, 20, 22]]
@@ -218,8 +250,8 @@ def test_second_merge_may_start_from_the_class_the_first_built():
     # with {2, 3, 4} on size and wins on its lowest vertex, so the second
     # path starts at 5, the interior of the first
     g = Graph(7, [(0, 5), (1, 5), (5, 6), (2, 6), (2, 3), (3, 4)])
-    fam = DominatingFamily(reservoir=[5, 6], sets=[[0, 1, 2, 3, 4]],
-                           representatives=[[0, 1, 2]])
+    fam = family(g, [5, 6], [[0, 1, 2, 3, 4]])
+    assert fam.representatives == [[0, 1, 2]]
     packing = connect_family(g, fam, crafted_params(n=7))
     assert [(p.endpoints, p.internal) for p in packing.paths] == [((0, 1), [5]),
                                                                   ((5, 2), [6])]
@@ -230,8 +262,8 @@ def test_second_merge_may_start_from_the_class_the_first_built():
 def test_connected_set_yields_zero_paths():
     g, _ = two_cliques_with_reservoir()
     # vertex 20 is adjacent to everything, so {0, 20} is a connected CDS
-    fam = DominatingFamily(reservoir=list(range(21, 40)), sets=[[0, 20]],
-                           representatives=[[0]])
+    fam = family(g, list(range(21, 40)), [[0, 20]])
+    assert fam.representatives == [[0]]
     packing = connect_family(g, fam, crafted_params())
     assert packing.sets == [[0, 20]]
     assert packing.paths == []
@@ -239,9 +271,8 @@ def test_connected_set_yields_zero_paths():
 
 def test_max_sets_cap():
     g, reservoir = two_cliques_with_reservoir()
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10], [1, 11]],
-                           representatives=[[0, 10], [1, 11]])
-    packing = connect_family(g, fam, crafted_params(d_star=2), max_sets=1)
+    fam = family(g, reservoir, [[0, 10], [1, 11]])
+    packing = connect_family(g, fam, crafted_params(r1=2), max_sets=1)
     assert len(packing.sets) == 1
     assert {p.set_index for p in packing.paths} == {0}
 
@@ -251,8 +282,7 @@ def test_practice_params_without_m_d_s_stitch():
     g, reservoir = two_cliques_with_reservoir()
     pars = crafted_params()
     assert (pars.m, pars.D, pars.s) == (None, None, None)
-    fam = DominatingFamily(reservoir=reservoir, sets=[[0, 10]],
-                           representatives=[[0, 10]])
+    fam = family(g, reservoir, [[0, 10]])
     packing = connect_family(g, fam, pars)
     assert [p.endpoints for p in packing.paths] == [(0, 10)]
     assert verify_packing(g, packing, target=1).failures == []

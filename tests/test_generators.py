@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from cdspack import (GenSpec, binomial_random, complete_graph, cycle_graph,
                      generate, glued_cliques, petersen_graph, random_regular)
 from cdspack.generators import _ROUND_CAP, _pairing_attempt, _suitable
 from cdspack.rand import rng_for
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def reference_pairing_attempt(rng, n, d):
@@ -90,6 +96,25 @@ def test_pairing_attempts_match_stable_sort_reference(n, d, seed):
         break
     assert attempts > 1
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_retrying_generator_never_imports_numpy_ma():
+    # (50000, 32, 1) takes three pairing attempts, so it runs _suitable's
+    # leftover check, whose np.unique(stubs) imported numpy.ma on numpy 2.4
+    script = ("import sys\n"
+              "import numpy\n"
+              "print('numpy.ma' in sys.modules)\n"
+              "from cdspack.generators import random_regular\n"
+              "random_regular(50000, 32, 1)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, after = proc.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
 
 
 def test_binomial_extremes():

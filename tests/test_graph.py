@@ -258,7 +258,9 @@ def test_label_components_matches_set_search(seed):
             sets = random_sets(rng, g.n, int(rng.integers(0, 12)))
             lab = label_components(g, sets)
             expected = [set_search_components(g, s) for s in sets]
-            assert lab.lowest() == [[c[0] for c in comps] for comps in expected]
+            split = lab.lowest()
+            assert [[c.tolist() for c in comps] for comps in split] == expected
+            assert all(c.dtype == np.int64 for comps in split for c in comps)
             for j, (s, comps) in enumerate(zip(sets, expected)):
                 mine = lab.owner == j
                 assert lab.vertex[mine].tolist() == vertex_set(s)

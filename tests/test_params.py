@@ -80,6 +80,35 @@ def test_practice_leaves_m_d_s_unset():
     assert pars.s is None and pars.d_star >= 1
 
 
+@pytest.mark.parametrize("args, blob", [
+    ((5000, 64, 17.0, 0.3, "practice"),
+     {"epsilon": 0.3, "d_star": 8, "r1": 2, "r2": 4, "p1": 0.455, "p2": 0.25,
+      "b_prob": 0.09, "m": None, "D": None, "s": None, "mode": "practice",
+      "n": 5000, "d": 64, "lambda_used": 17.0, "d_star_target": 10,
+      "warnings": []}),
+    ((10**8, 3 * 10**7, 1100.0, 0.8, "theory"),
+     {"epsilon": 0.8, "d_star": 1512692, "r1": 1, "r2": 1512692,
+      "p1": 0.3599999999999999, "p2": 6.610731067527296e-07,
+      "b_prob": 0.6400000000000001, "m": 3668, "D": 310, "s": 97714836,
+      "mode": "theory", "n": 10**8, "d": 3 * 10**7, "lambda_used": 1100.0,
+      "d_star_target": 348498, "warnings": []}),
+], ids=["practice", "theory"])
+def test_derived_values_keep_their_bits(args, blob):
+    # d_star, b_prob, p1 and p2 are computed from r1, r2 and epsilon; the
+    # report must carry the same keys, order and floats as when they were
+    # stored
+    got = derive_params(*args).to_json()
+    assert list(got) == list(blob)
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in blob.items()}
+
+
+def test_derived_values_are_read_only():
+    pars = derive_params(5000, 64, 17.0, 0.3, "practice")
+    for name in ("d_star", "b_prob", "p1", "p2"):
+        with pytest.raises(AttributeError):
+            setattr(pars, name, 1)
+
+
 def test_json_round_trip_keys():
     # one report shape in both modes: practice reports m, D and s as null
     for mode in ("practice", "theory"):
