@@ -1,7 +1,7 @@
 """Packings of vertex-disjoint connected dominating sets in expander graphs."""
 
 from .coloring import (ColorAssignment, DominatingFamily, build_family,
-                       stage_one, stage_two)
+                       stage_one)
 from .connector import (CdsPacking, PathRecord, choose_representatives,
                         connect_family, connect_one)
 from .generators import (GenSpec, binomial_random, complete_graph, cycle_graph,

@@ -57,8 +57,9 @@ def _code_for(exc: Exception) -> int:
 
 
 def _dumps(doc) -> str:
-    # no indent: json then encodes with its C encoder
-    return json.dumps(doc, sort_keys=True)
+    # no indent: json then encodes with its C encoder; a report is a tree
+    # built fresh per run, so the circular-reference check finds nothing
+    return json.dumps(doc, sort_keys=True, check_circular=False)
 
 
 def _write(path: str, text: str, report: dict) -> bool:

@@ -1,49 +1,40 @@
-"""Two-stage seeded random coloring with bad-event repair.
+"""Seeded one-stage random coloring with bad-event repair.
 
-Stage one assigns every vertex to the reservoir (probability b_prob) or to
-one of r1 first-stage colors (probability p1 each); there is no third
-outcome. Stage two refines each colored vertex with a uniform second-stage
-color in [r2]. Those two draws are the only random numbers: every later step
-is fixed by the labels.
+Every vertex goes to the reservoir (probability b_prob) or to one of the
+d_star classes (probability (1 - b_prob)/d_star each); there is no third
+outcome. That draw is the only random number: every later step is fixed by
+the labels. The paper colours in two stages, r1 colours each split into r2
+classes, for concentration at r2 = round(ln^5 d); no graph in memory reaches
+that size, so the classes are drawn in one stage (Feige, Halldorsson,
+Kortsarz and Srinivasan, SIAM J. Comput. 2002: one uniform partition already
+dominates).
 
-Each stage keeps one count matrix, counts[v, c] = the neighbors of v in
-column c, and gives each column an integer window lo[c] <= x < hi[c]. Stage
-one's columns are the colors 0..r1-1 and the reservoir r1; stage two's are
-the d_star classes c*r2 + c', where a reservoir vertex sits in column -1,
-which is not counted. An entry outside its window is a bad event. Both
-stages loop while one is left, always fixing the lowest flat index
-(row-major) by a minimum-collateral repair: one of the vertices the event
-depends on (N(v) in stage one, v's c-colored neighbors in stage two) moves
-into the short column or, for a count at or above hi, out of the crowded one
-into v's emptiest other column (in stage two, v's emptiest other class of
-color c; a color with one class cannot repair an over-full event). The
-vertex moved is the candidate whose move drops the fewest count entries
-below their window, ties to the lowest id. Moser-Tardos resampling of the
-whole neighborhood breaks about as many events as it fixes at desk scale and
-may never settle; a one-vertex repair does.
+The count matrix is counts[v, c] = the neighbours of v in column c, where
+the columns are the classes 0..d_star-1 and the reservoir d_star. Each
+column has an integer lower bound lo[c]; an entry below it is a bad event.
+The loop fixes the lowest bad flat index (row-major) until none is left, by
+a minimum-collateral repair: one neighbour of v moves into the short column,
+the one whose move drops the fewest count entries below their bound, ties
+to the lowest id. Moser-Tardos resampling of the whole neighbourhood breaks
+about as many events as it fixes at desk scale and may never settle; a
+one-vertex repair does.
 
-Both stages run one repair loop, `_settle`, on Python scalars: a repair
-reads a few rows of 16 to 256 entries, where each numpy call would cost more
-than the work it does. The counts are one flat row-major list and the
-bad-event flags a bytearray, and each adjacency row the loop touches is read
-once with `.tolist()`. A move steps each count entry of the moved vertex's
-neighbors by one, and a flag is re-tested only where that step crosses the
-bottom or top of its window. Bad indices wait in a min-heap, so the next
-event is the lowest violated one, exactly as a full rescan of the count
-matrix would pick it.
+The repair loop, `_settle`, runs on Python scalars: a repair reads a few
+rows of 16 to 256 entries, where each numpy call would cost more than the
+work it does. The counts are one flat row-major list and the bad-event
+flags a bytearray, and each adjacency row the loop touches is read once
+with `.tolist()`. A move steps each count entry of the moved vertex's
+neighbours by one, and a flag changes only where that step crosses the
+bound. Bad indices wait in a min-heap, so the next event is the lowest
+violated one, exactly as a full rescan of the count matrix would pick it.
+The loop draws nothing, so a move that puts a vertex back into the column
+the move before took it from restores an earlier state, and the run would
+repeat those two moves forever: it stops there with a typed error.
 
-Thresholds are floats, turned into the integer windows above:
-  stage one - inclusive bounds lo <= x <= hi, the window
-              [ceil(lo), floor(hi) + 1). The defaults are one-sided lower
-              bounds: reservoir counts must reach b_prob*d/2 (exactly the
-              bound the output contract needs) and color counts
-              max(r2, p1*d/2) (enough for stage two to have room to work).
-              Callers may pass explicit two-sided thresholds.
-  stage two - the strict band lo < x < hi, the window
-              [floor(lo) + 1, ceil(hi)): each (c, c') must appear in every
-              neighborhood strictly more than eps^2 * ln d times and
-              strictly fewer than 20 * ln d times. At desk scale the lower
-              bound reduces to "at least once", which is exactly domination.
+Thresholds are per-column float lower bounds, met when lo <= x, that is
+x >= ceil(lo). The defaults: each class needs floor(eps^2 ln d) + 1
+neighbours, which is domination at desk scale, and the reservoir b_prob*d/2,
+exactly the bound the output contract needs. There is no upper bound.
 
 Theory mode never reaches this module on a graph that fits in memory: its
 parameter gate rejects every degree below 332105 (see `params`).
@@ -57,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import inf, isfinite, log
+from math import floor, log
 
 import numpy as np
 
@@ -71,24 +62,22 @@ from .rand import rng_for
 RESERVOIR = -1
 
 _STAGE1_TAG = 11
-_STAGE2_TAG = 12
-RESAMPLE_FACTOR = 100  # cap = RESAMPLE_FACTOR * n per stage
+RESAMPLE_FACTOR = 100  # cap = RESAMPLE_FACTOR * n repairs
+
+# practice coloring has one stage, but perfbench/trace_pack.py wraps
+# coloring.stage_two by name
+stage_two = None
 
 
 @dataclass
 class ColorAssignment:
-    """Per-vertex labels after a coloring stage.
+    """Per-vertex labels after coloring.
 
-    c1[v] is RESERVOIR or a first-stage color in [0, r1).
-    c2[v] is -1 until stage two assigns a second-stage color in [0, r2).
-    `resamples` counts the repair steps of this stage and the ones before
-    it.
+    labels[v] is RESERVOIR or a class in [0, d_star). `resamples` counts the
+    repair steps.
     """
 
-    c1: np.ndarray
-    c2: np.ndarray | None
-    r1: int
-    r2: int
+    labels: np.ndarray
     resamples: int = 0
 
 
@@ -121,67 +110,48 @@ class DominatingFamily:
 
 
 def _draw_columns(rng: np.random.Generator, size: int, b_prob: float,
-                  p1: float, r1: int) -> np.ndarray:
-    """Draw `size` stage-one labels as count-matrix columns.
+                  p: float, k: int) -> np.ndarray:
+    """Draw `size` labels as count-matrix columns.
 
-    One uniform u per vertex: u < b_prob is the reservoir (column r1), else
-    color floor((u - b_prob) / p1), clamped to r1 - 1, which only rounding
-    passes (u just below 1 can land on r1).
+    One uniform u per vertex: u < b_prob is the reservoir (column k), else
+    class floor((u - b_prob) / p), clamped to k - 1, which only rounding
+    passes (u just below 1 can land on k).
     """
     u = rng.random(size)
-    cols = np.minimum(np.floor((u - b_prob) / p1), r1 - 1).astype(np.int64)
-    cols[u < b_prob] = r1
+    cols = np.minimum(np.floor((u - b_prob) / p), k - 1).astype(np.int64)
+    cols[u < b_prob] = k
     return cols
 
 
-def _stage_one_labels(cols: np.ndarray, r1: int) -> np.ndarray:
-    """Count-matrix columns back to stage-one labels."""
-    c1 = cols.astype(np.int32)
-    c1[cols == r1] = RESERVOIR
-    return c1
-
-
 def _neighbor_counts(g: Graph, labels: np.ndarray, ncols: int) -> np.ndarray:
-    """counts[v, c] = number of neighbors of v whose label is c (label -1 skipped)."""
-    # key every adjacency slot by its row and label + 1: label -1 lands in a
-    # column of its own, dropped at the end, so no slot is masked out
-    flat = g.row_index * (ncols + 1)
+    """counts[v, c] = number of neighbors of v labelled c, labels in [0, ncols)."""
+    flat = g.row_index * ncols
     flat += labels[g.indices]
-    flat += 1
-    counts = np.bincount(flat, minlength=g.n * (ncols + 1))
-    return np.ascontiguousarray(counts.reshape(g.n, ncols + 1)[:, 1:])
+    return np.bincount(flat, minlength=g.n * ncols).reshape(g.n, ncols)
 
 
 def _settle(g: Graph, counts: np.ndarray, labels: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, width: int | None, cap: int,
-            stage: str) -> tuple[int, tuple | None]:
+            cap: int) -> int:
     """Repair the lowest bad event until none is left (see the module docstring).
 
-    Entry (v, c) holding x is bad when x < lo[c] or x >= hi[c]. The group a
-    repair moves a vertex of is all of N(v) when `width` is None, else v's
-    neighbours labelled in the event column's block of `width` columns; a
-    crowded column's vertex moves to the column of that block (of all
-    columns, for None) where v has the fewest neighbours. `labels` is
-    updated in place. Returns the number of repairs and None, or, at an
-    event no move can fix, (v, column, its group, the number of bad
-    entries); raises ResampleBudgetExhausted when the repairs would pass
-    `cap`.
+    Entry (v, c) holding x is bad when x < lo[c]; a repair moves one
+    neighbour of v into column c. `labels` is updated in place. Returns the
+    number of repairs; raises ResampleBudgetExhausted when they would pass
+    `cap`, at an event no neighbour can fix, or at a move that undoes the
+    one before it.
     """
     ncols = counts.shape[1]
-    bad = (counts < lo) | (counts >= hi)
+    bad = counts < lo
     heap = np.flatnonzero(bad).tolist()  # sorted, so already a heap
     if not heap:
-        return 0, None
+        return 0
     flags = bytearray(bad.tobytes())  # one byte, 0 or 1, per bool
     flat = counts.ravel().tolist()
     lab = labels.tolist()
-    # integer windows compare faster; an infinite bound stays a float
-    lo, hi = ([int(x) if isfinite(x) else x for x in w.tolist()] for w in (lo, hi))
-    block = width or ncols
-    others = [[c for c in range(k - k % block, k - k % block + block) if c != k]
-              for k in range(ncols)]
+    lo = [int(x) for x in lo.tolist()]  # integer bounds compare faster
     ptr, indices = g.indptr.tolist(), g.indices
     steps = 0
+    undo = None  # (vertex, column) that would undo the last move
     while heap:
         idx = heap[0]
         if not flags[idx]:
@@ -190,26 +160,12 @@ def _settle(g: Graph, counts: np.ndarray, labels: np.ndarray, lo: np.ndarray,
         steps += 1
         if steps > cap:
             raise ResampleBudgetExhausted(
-                f"{stage}: {flags.count(1)} bad events after {cap} resamples")
+                f"stage one: {flags.count(1)} bad events after {cap} resamples")
         v, col = divmod(idx, ncols)
-        group = indices[ptr[v]:ptr[v + 1]].tolist()
-        if width is not None:
-            first = col - col % width
-            group = [w for w in group if first <= lab[w] < first + width]
-            if not group:
-                return steps, (v, col, group, flags.count(1))
-        base = v * ncols
-        over = flat[idx] >= hi[col]
-        if over:
-            target = min(others[col], key=lambda c: flat[base + c], default=None)
-            if target is None:
-                return steps, (v, col, group, flags.count(1))
-        else:
-            target = col
         best = None
-        for w in group:
+        for w in indices[ptr[v]:ptr[v + 1]].tolist():
             c = lab[w]
-            if (c == col) != over:
+            if c == col:
                 continue
             nbrs = indices[ptr[w]:ptr[w + 1]].tolist()
             edge = lo[c]
@@ -219,141 +175,83 @@ def _settle(g: Graph, counts: np.ndarray, labels: np.ndarray, lo: np.ndarray,
                 if score == 0:
                     break
         if best is None:
-            return steps, (v, col, group, flags.count(1))
+            raise ResampleBudgetExhausted(
+                f"stage one: event (v={v}, column={col}) has no movable "
+                f"neighbor, {flags.count(1)} bad events after {steps - 1} repairs")
+        if undo == (best, col):
+            raise ResampleBudgetExhausted(
+                f"stage one: repair {steps} moves vertex {best} back to column "
+                f"{col}, undoing repair {steps - 1}: a cycle of length 2, "
+                f"{flags.count(1)} bad events left")
         old = lab[best]
-        lab[best] = target
-        # a +-1 step changes a flag only across lo - 1 | lo or hi - 1 | hi
-        down_lo, down_hi = lo[old], hi[old]
-        up_lo, up_hi = lo[target], hi[target]
-        shift = target - old
+        lab[best] = col
+        undo = (best, old)
+        # a -1 step from lo makes an entry bad, a +1 step to lo makes it good
+        down, up = lo[old], lo[col]
+        shift = col - old
         for u in row:
             i = u * ncols + old
             x = flat[i]
             flat[i] = x - 1
-            if x == down_lo or x == down_hi:
-                _retest(i, x - 1, down_lo, down_hi, flags, heap)
+            if x == down:
+                flags[i] = 1
+                heapq.heappush(heap, i)
             i += shift
             x = flat[i] + 1
             flat[i] = x
-            if x == up_lo or x == up_hi:
-                _retest(i, x, up_lo, up_hi, flags, heap)
+            if x == up:
+                flags[i] = 0
     labels[:] = lab
-    return steps, None
+    return steps
 
 
-def _retest(i: int, x: int, lo, hi, flags: bytearray, heap: list[int]) -> None:
-    """Set entry i's flag for count x; a newly bad entry joins the heap."""
-    now = x < lo or x >= hi
-    if now and not flags[i]:
-        heapq.heappush(heap, i)
-    flags[i] = now
-
-
-def stage_one_thresholds(params: PackingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Default per-column (lo, hi) count bounds for stage one."""
-    r1 = params.r1
-    lo = np.full(r1 + 1, max(float(params.r2), params.p1 * params.d / 2))
-    lo[r1] = params.b_prob * params.d / 2
-    return lo, np.full(r1 + 1, inf)
+def stage_one_thresholds(params: PackingParams) -> np.ndarray:
+    """Default per-column lower bounds: classes 0..d_star-1, then the reservoir."""
+    k = params.d_star
+    lo = np.full(k + 1, float(floor(params.epsilon ** 2 * log(params.d)) + 1))
+    lo[k] = params.b_prob * params.d / 2
+    return lo
 
 
 def stage_one(g: Graph, params: PackingParams, seed: int,
-              thresholds: tuple | None = None,
+              thresholds: np.ndarray | None = None,
               max_resamples: int | None = None) -> ColorAssignment:
-    """Stage-one coloring: reservoir / first-stage colors, with repair.
+    """Put every vertex in the reservoir or one of d_star classes, with repair.
 
-    Fixes the lowest violated (v, c) until every neighborhood count sits
-    inside its bounds, each time by moving one neighbor of v into or out of
-    column c (see the module docstring). `resamples` counts the repairs.
+    Fixes the lowest violated (v, c) until every neighborhood count meets
+    its lower bound in `thresholds` (default `stage_one_thresholds`), each
+    time by moving one neighbor of v into column c (see the module
+    docstring). `resamples` counts the repairs.
     """
-    n = g.n
-    r1 = params.r1
-    ncols = r1 + 1
+    n, k = g.n, params.d_star
     cols = _draw_columns(rng_for(seed, _STAGE1_TAG), n, params.b_prob,
-                         params.p1, r1)
-    lo, hi = thresholds if thresholds is not None else stage_one_thresholds(params)
-    # lo <= x <= hi for an integer count x is ceil(lo) <= x < floor(hi) + 1
-    lo = np.broadcast_to(np.ceil(np.asarray(lo, dtype=float)), (ncols,))
-    hi = np.broadcast_to(np.floor(np.asarray(hi, dtype=float)) + 1, (ncols,))
-    counts = _neighbor_counts(g, cols, ncols)
+                         (1 - params.b_prob) / k, k)
+    lo = thresholds if thresholds is not None else stage_one_thresholds(params)
+    # lo <= x for an integer count x is ceil(lo) <= x
+    lo = np.broadcast_to(np.ceil(np.asarray(lo, dtype=float)), (k + 1,))
+    counts = _neighbor_counts(g, cols, k + 1)
     cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
-    resamples, stuck = _settle(g, counts, cols, lo, hi, None, cap, "stage one")
-    if stuck is not None:
-        v, col, _, bad = stuck
-        raise ResampleBudgetExhausted(
-            f"stage one: event (v={v}, column={col}) has no movable "
-            f"neighbor, {bad} bad events after {resamples - 1} repairs")
-    return ColorAssignment(c1=_stage_one_labels(cols, r1), c2=None, r1=r1,
-                           r2=params.r2, resamples=resamples)
+    resamples = _settle(g, counts, cols, lo, cap)
+    labels = cols.astype(np.int32)
+    labels[cols == k] = RESERVOIR
+    return ColorAssignment(labels=labels, resamples=resamples)
 
 
-def stage_two_thresholds(params: PackingParams) -> tuple[float, float]:
-    """(lo, hi) band for per-class neighborhood counts; bad iff <= lo or >= hi."""
-    lg = log(params.d)
-    return params.epsilon ** 2 * lg, 20.0 * lg
-
-
-def stage_two(g: Graph, stage1: ColorAssignment, params: PackingParams, seed: int,
-              thresholds: tuple[float, float] | None = None,
-              max_resamples: int | None = None) -> ColorAssignment:
-    """Refine first-stage colors with uniform second-stage colors.
-
-    Fixes the lowest violated (v, class) by relabeling a single c-colored
-    neighbor of v into the deficient class, or out of an over-full one,
-    chosen to create the fewest new violations (see the module docstring).
-    Stage-one labels are never touched.
-    """
-    n = g.n
-    r1, r2 = stage1.r1, params.r2
-    d_star = r1 * r2
-    c1 = stage1.c1
-    draw = rng_for(seed, _STAGE2_TAG).integers(0, r2, size=n)
-    # each vertex's class c*r2 + c', or -1 outside the colors
-    labels = c1.astype(np.int64) * r2 + draw
-    labels[c1 < 0] = -1
-    lo, hi = thresholds if thresholds is not None else stage_two_thresholds(params)
-    # lo < x < hi for an integer count x is floor(lo) + 1 <= x < ceil(hi)
-    lo = np.full(d_star, np.floor(lo) + 1)
-    hi = np.full(d_star, np.ceil(hi))
-    counts = _neighbor_counts(g, labels, d_star)
-    cap = max_resamples if max_resamples is not None else RESAMPLE_FACTOR * n
-    resamples, stuck = _settle(g, counts, labels, lo, hi, r2, cap, "stage two")
-    if stuck is not None:
-        v, cls, group, _ = stuck
-        if not group:
-            raise ResampleBudgetExhausted(
-                f"stage two: event (v={v}, class={cls}) has no {cls // r2}-colored "
-                f"neighbors to resample")
-        raise ResampleBudgetExhausted(
-            f"stage two: event (v={v}, class={cls}) has no movable neighbor")
-    c2 = (labels % r2).astype(np.int32)
-    c2[labels < 0] = -1
-    return ColorAssignment(c1=c1, c2=c2, r1=r1, r2=r2,
-                           resamples=stage1.resamples + resamples)
-
-
-def build_family(g: Graph, stage2_out: ColorAssignment,
+def build_family(g: Graph, colors: ColorAssignment,
                  params: PackingParams) -> DominatingFamily:
-    """Assemble the reservoir and the d_star color classes, then validate.
+    """Assemble the reservoir and the color classes, then validate.
 
-    Classes map to set indices lexicographically: (c, c') -> c*r2 + c'.
-    All three output properties are checked mechanically and a violation
-    raises with the failed property and a witness vertex.
+    Class i becomes set i. All three output properties are checked
+    mechanically and a violation raises with the failed property and a
+    witness vertex.
     """
-    if stage2_out.c2 is None:
-        raise ValueError("stage two has not run")
     n = g.n
-    r1, r2 = stage2_out.r1, stage2_out.r2
-    d_star = r1 * r2
-    c1, c2 = stage2_out.c1, stage2_out.c2
-    labels = c1.astype(np.int64) * r2 + c2
-    labels[c1 < 0] = -1
-
-    reservoir = np.flatnonzero(c1 == RESERVOIR)
-    sets = [np.flatnonzero(labels == i).tolist() for i in range(d_star)]
+    labels = colors.labels
+    reservoir = np.flatnonzero(labels == RESERVOIR)
+    sets = [np.flatnonzero(labels == i).tolist() for i in range(params.d_star)]
 
     # property: every vertex has at least b_prob*d/2 neighbors in the reservoir
-    in_reservoir = c1[g.indices] == RESERVOIR
+    in_reservoir = labels[g.indices] == RESERVOIR
     res_counts = np.bincount(g.row_index[in_reservoir], minlength=n)
     res_need = params.b_prob * params.d / 2
     short = np.flatnonzero(res_counts < res_need)

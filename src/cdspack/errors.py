@@ -35,7 +35,7 @@ class InfeasibleParameters(CdsPackError):
 
 
 class ResampleBudgetExhausted(CdsPackError):
-    """A coloring stage hit its step cap, or found no move, before clearing all bad events."""
+    """Coloring repair hit its step cap, found no move or undid its last move."""
 
 
 class PostconditionViolation(CdsPackError):

@@ -5,17 +5,22 @@ theory mode's m, D, s and the inputs. d_star = r1*r2, b_prob = eps^2,
 p1 = (1 - eps^2)/r1 and p2 = 1/r2 are read-only properties derived from
 them. Since r1, r2 >= 1 and eps > 0, p1 < 1 and d_star >= 1 always hold.
 
-Theory mode applies the asymptotic formulas verbatim, including the
-joinedness scale m, the extendability degree D and the forest budget
-s = n - 2Dm - 3m under which the paper's connector is proved, and rejects
-any input where a feasibility constraint fails. One of them is stage two's
-arithmetic: every vertex must see each of the d_star classes more than
-eps^2 ln d times, so d >= d_star * (floor(eps^2 ln d) + 1). With
-r2 = round(ln^5 d) no degree below 332105 passes the theory gate, so no
-theory run on a graph that fits in memory gets past `params`. Practice mode
-keeps the same colour-grid shape with a desk-scale split and downgrades
-feasibility failures to warnings. Its connector joins classes by shortest
-reservoir paths, which need no m, D or s, so practice mode leaves them None.
+Theory mode applies the asymptotic formulas verbatim: the paper's two-stage
+grid r2 = round(ln^5 d), r1 = d_star_target // r2, the joinedness scale m,
+the extendability degree D and the forest budget s = n - 2Dm - 3m under
+which the paper's connector is proved. It rejects any input where a
+feasibility constraint fails. One of them is the class band: every vertex
+must see each of the d_star classes more than eps^2 ln d times, so
+d >= d_star * (floor(eps^2 ln d) + 1). With r2 = round(ln^5 d) no degree
+below 332105 passes the theory gate, so no theory run on a graph that fits
+in memory gets past `params`.
+
+Practice mode colours in one stage: r1 = K classes and r2 = 1, so
+d_star = K, p1 = (1 - eps^2)/K and p2 = 1. K is d_star_target rounded down
+to a multiple of round(ln d), the set count the two-stage split gave, so
+packing sizes match it. Practice mode downgrades feasibility failures to
+warnings. Its connector joins classes by shortest reservoir paths, which
+need no m, D or s, so practice mode leaves them None.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .errors import InfeasibleParameters
 @dataclass
 class PackingParams:
     epsilon: float
-    r1: int              # first-stage color count
-    r2: int              # second-stage color count
+    r1: int              # first-stage color count (practice: all K classes)
+    r2: int              # second-stage color count (practice: 1)
     mode: str            # "theory" | "practice"
     m: int | None = None  # joinedness scale, theory mode only
     D: int | None = None  # extendability degree, theory mode only
@@ -82,8 +87,9 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
                   mode: str = "theory") -> PackingParams:
     """Derive all pipeline constants from (n, d, lambda, epsilon).
 
-    Rounding always undershoots the target set count: r2 rounds to nearest,
-    r1 floors, and d_star is reconciled to r1*r2.
+    Rounding always undershoots the target set count: the split
+    round(ln^5 d) (theory) or round(ln d) (practice) rounds to nearest, the
+    target floors to a multiple of it, and d_star is reconciled to that.
     """
     if mode not in ("theory", "practice"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -98,11 +104,12 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
     d_star_target = floor((1 - epsilon) * d / lg)
     if mode == "theory":
         r2 = max(1, round(lg ** 5))
+        r1 = max(1, d_star_target // r2)
     else:
-        # ln^5 d dwarfs d_star at desk scale; a single-log split keeps both
-        # stages meaningful while preserving r1*r2 = d_star
-        r2 = max(1, round(lg))
-    r1 = max(1, d_star_target // r2)
+        # one stage of K classes; K keeps the multiple of round(ln d) that
+        # the former desk-scale two-stage split packed
+        split = max(1, round(lg))
+        r1, r2 = max(1, d_star_target // split) * split, 1
 
     m = D = s = None
     problems: list[str] = []
@@ -114,10 +121,10 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
             raise InfeasibleParameters(f"s = {s} <= 0 (n={n}, m={m}, D={D})")
         if D < 3:
             problems.append(f"D = {D} < 3")
-    # stage two's band: more than eps^2 ln d neighbours in each class
+    # the class band: more than eps^2 ln d neighbours in each class
     need = r1 * r2 * (floor(epsilon ** 2 * lg) + 1)
     if d < need:
-        problems.append(f"stage two: d = {d} < d_star * "
+        problems.append(f"class band: d = {d} < d_star * "
                         f"(floor(eps^2 ln d) + 1) = {need}")
     if problems and mode == "theory":
         raise InfeasibleParameters("; ".join(problems))

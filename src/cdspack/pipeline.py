@@ -48,8 +48,8 @@ def run(g: Graph, lam: float, seed: int, epsilon: float,
     `g`, verified once.
 
     Coloring retries with the next seed up to COLORING_RESTARTS times when
-    a coloring stage runs out of budget. Sets that fail to connect are left
-    out of the packing rather than aborting the run.
+    its repair loop runs out of budget or cycles. Sets that fail to connect
+    are left out of the packing rather than aborting the run.
     """
     result = PackResult(body={"seed": seed, "timings": {}})
     body = result.body
@@ -74,9 +74,8 @@ def run(g: Graph, lam: float, seed: int, epsilon: float,
             # set before the attempt runs, so a failed run reports it too
             body["coloring_attempts"] = attempt + 1
             try:
-                a1 = coloring.stage_one(g, pars, seed + attempt)
-                a2 = coloring.stage_two(g, a1, pars, seed + attempt)
-                family = coloring.build_family(g, a2, pars)
+                colors = coloring.stage_one(g, pars, seed + attempt)
+                family = coloring.build_family(g, colors, pars)
                 break
             except ResampleBudgetExhausted:
                 if attempt == COLORING_RESTARTS - 1:
@@ -85,8 +84,7 @@ def run(g: Graph, lam: float, seed: int, epsilon: float,
     except CdsPackError as exc:
         return fail("coloring", exc)
     result.family = family
-    body["coloring_resamples"] = {"stage_one": a1.resamples,
-                                  "stage_two": a2.resamples - a1.resamples}
+    body["coloring_resamples"] = colors.resamples
     body["family"] = {
         "reservoir_size": len(family.reservoir),
         "set_count": len(family.sets),

@@ -171,9 +171,8 @@ def test_criterion_5_family_postconditions_at_scale():
         g = cp.random_regular(20000, 256, seed)
         lam_est = 2 * math.sqrt(255) * 1.05
         pars = cp.derive_params(20000, 256, lam_est, 0.3, "practice")
-        a1 = cp.stage_one(g, pars, seed)
-        a2 = cp.stage_two(g, a1, pars, seed)
-        fam = cp.build_family(g, a2, pars)  # raises on any violated bullet
+        colors = cp.stage_one(g, pars, seed)
+        fam = cp.build_family(g, colors, pars)  # raises on any violated bullet
         # re-check the three properties independently of the builder
         b = np.zeros(g.n, dtype=np.int64)
         b[fam.reservoir] = 1
@@ -235,7 +234,7 @@ def test_sparse_regime_stitches_every_set():
     g = cp.random_regular(20000, 16, 6)
     result = pipeline.run(g, cp.lambda_bound(g).bound, 6, 0.3)
     assert result.error is None, result.body["error"]
-    assert result.family.component_counts == [5, 2, 2]
+    assert result.family.component_counts == [3, 2, 4]
     packing = result.packing
     assert packing.meta["failed_sets"] == []
     assert len(packing.sets) == 3 and result.verification.failures == []

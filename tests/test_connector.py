@@ -6,8 +6,7 @@ import pytest
 import cdspack
 from cdspack import (Graph, choose_representatives, complete_graph,
                      connect_family, derive_params, lambda_bound, pipeline,
-                     random_regular, verify_packing, build_family, stage_one,
-                     stage_two)
+                     random_regular, verify_packing, build_family, stage_one)
 from cdspack.coloring import DominatingFamily
 from cdspack.connector import spanning_certificate
 from cdspack.errors import CdsPackError
@@ -74,7 +73,7 @@ def family(g, reservoir, sets):
 def generated_family():
     g = random_regular(400, 8, 2)
     pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice")
-    fam = build_family(g, stage_two(g, stage_one(g, pars, 4), pars, 4), pars)
+    fam = build_family(g, stage_one(g, pars, 1), pars)
     return g, fam, pars
 
 
@@ -105,11 +104,11 @@ def test_generated_family_carries_each_sets_components():
 
 def test_generated_instance_stitches_each_component_once():
     g, fam, pars = generated_family()
-    assert fam.component_counts == [3, 3]
+    assert fam.component_counts == [2, 3]
     packing = connect_family(g, fam, pars)
     assert packing.meta["family_indices"] == [0, 1]
     assert packing.meta["failed_sets"] == []
-    assert [p.set_index for p in packing.paths] == [0, 0, 1, 1]
+    assert [p.set_index for p in packing.paths] == [0, 1, 1]
     assert verify_packing(g, packing, target=2).failures == []
     assert_paths_are_shortest(g, fam, packing)
 
@@ -131,7 +130,7 @@ def test_pack_labels_components_once_per_family_and_once_per_verification(
     g = random_regular(20000, 16, 6)
     result = pipeline.run(g, lambda_bound(g).bound, 6, 0.3)
     assert result.error is None and result.verification.failures == []
-    assert result.family.component_counts == [5, 2, 2]
+    assert result.family.component_counts == [3, 2, 4]
     assert labelled == [3, 3]  # build_family's classes, the verified sets
 
 
@@ -237,7 +236,7 @@ def assert_paths_are_shortest(g, fam, packing):
 def test_each_path_is_a_shortest_reservoir_path(graph_seed, seed):
     g = random_regular(400, 8, graph_seed)
     pars = derive_params(400, 8, 2 * math.sqrt(7) * 1.05, 0.4, "practice")
-    fam = build_family(g, stage_two(g, stage_one(g, pars, seed), pars, seed), pars)
+    fam = build_family(g, stage_one(g, pars, seed), pars)
     assert max(fam.component_counts) > 1
     packing = connect_family(g, fam, pars)
     assert packing.meta["failed_sets"] == []
@@ -301,7 +300,7 @@ def test_spanning_certificate_shape():
 def test_pipeline_end_to_end_small():
     g = random_regular(600, 16, 3)
     pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice")
-    fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
+    fam = build_family(g, stage_one(g, pars, 1), pars)
     packing = connect_family(g, fam, pars)
     report = verify_packing(g, packing, target=1)
     assert report.failures == []
@@ -316,7 +315,7 @@ def test_pipeline_end_to_end_small():
 def test_pipeline_deterministic():
     g = random_regular(600, 16, 3)
     pars = derive_params(600, 16, 2 * math.sqrt(15) * 1.05, 0.4, "practice")
-    fam = build_family(g, stage_two(g, stage_one(g, pars, 1), pars, 1), pars)
+    fam = build_family(g, stage_one(g, pars, 1), pars)
     p1 = connect_family(g, fam, pars)
     p2 = connect_family(g, fam, pars)
     assert p1.to_json() == p2.to_json()

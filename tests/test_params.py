@@ -27,11 +27,15 @@ def test_theory_gate_accepts():
 
 
 def test_grid_reconciliation_and_probabilities():
+    # practice mode colours in one stage: K = d_star classes, r2 = 1, and K
+    # is d_star_target floored to a multiple of round(ln d)
     pars = derive_params(5000, 64, 17.0, 0.3, "practice")
     assert pars.r1 * pars.r2 == pars.d_star
-    assert pars.r2 == round(math.log(64))
+    assert (pars.r1, pars.r2) == (pars.d_star, 1)
+    split = round(math.log(64))
+    assert pars.d_star == pars.d_star_target // split * split == 8
     assert pars.p1 == pytest.approx((1 - 0.09) / pars.r1)
-    assert pars.p2 == pytest.approx(1 / pars.r2)
+    assert pars.p2 == 1.0
     assert pars.b_prob == pytest.approx(0.09)
     assert 0 < pars.p1 <= 1
 
@@ -82,7 +86,7 @@ def test_practice_leaves_m_d_s_unset():
 
 @pytest.mark.parametrize("args, blob", [
     ((5000, 64, 17.0, 0.3, "practice"),
-     {"epsilon": 0.3, "d_star": 8, "r1": 2, "r2": 4, "p1": 0.455, "p2": 0.25,
+     {"epsilon": 0.3, "d_star": 8, "r1": 8, "r2": 1, "p1": 0.11375, "p2": 1.0,
       "b_prob": 0.09, "m": None, "D": None, "s": None, "mode": "practice",
       "n": 5000, "d": 64, "lambda_used": 17.0, "d_star_target": 10,
       "warnings": []}),
