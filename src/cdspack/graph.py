@@ -267,8 +267,10 @@ def components_of(g: Graph, s) -> list[list[int]]:
 # First line `n m`, then m lines `u v` with 0 <= u < v < n, whitespace-
 # separated, LF- or CRLF-terminated; blank lines are skipped. A vertex id is
 # an optionally signed decimal of at most _MAX_DIGITS characters. The loader
-# rejects malformed lines, loops, reversed pairs, out-of-range ids, count
-# mismatches and duplicates, naming the first bad line in file order.
+# rejects malformed lines, loops, reversed pairs, out-of-range ids and count
+# mismatches, naming the first bad line in file order. Repeated edges are
+# looked for once every line parses, and the message names the first line
+# that repeats an earlier one.
 
 _WORD = np.ones(256, dtype=bool)  # bytes that are not ASCII whitespace
 _WORD[list(b" \t\n\v\f\r")] = False
@@ -330,12 +332,17 @@ def _plain_edges(body: bytes, n: int, m: int) -> np.ndarray | None:
     return edges
 
 
+def _token_lines(body: bytes, starts: np.ndarray) -> np.ndarray:
+    """The line of each token start in `body`; 0 is the file's line 2."""
+    newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    return np.searchsorted(newlines, starts)
+
+
 def _checked_edges(body: bytes, n: int, m: int) -> np.ndarray:
     """The (m, 2) edge rows of a body in any accepted layout; raises
     GraphFormatError naming the first bad line in file order."""
     starts, ends, values, valid = _int_tokens(body)
-    newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    line = np.searchsorted(newlines, starts)  # 0 is the file's line 2
+    line = _token_lines(body, starts)
     per_line = np.bincount(line)
     malformed = np.flatnonzero((per_line != 0) & (per_line != 2))
     # the tokens before the first malformed line pair up as (u, v)
@@ -379,7 +386,25 @@ def load_graph(path) -> Graph:
     edges = None if crs else _plain_edges(body, n, m)  # CRs: not plain
     if edges is None:
         edges = _checked_edges(body, n, m)
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except GraphFormatError:
+        _raise_repeated_edge(body, n, edges)
+        raise
+
+
+def _raise_repeated_edge(body: bytes, n: int, edges: np.ndarray) -> None:
+    """Raise GraphFormatError naming the first line in file order whose edge
+    repeats an earlier one, if one does; called only once `Graph` has
+    refused the edges, so a loadable file pays nothing for it."""
+    keys = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(keys, kind="stable")  # equal keys keep their file order
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        line = _token_lines(body, _int_tokens(body)[0][2 * i]) + 2
+        raise GraphFormatError(
+            f"line {line}: duplicate edge ({edges[i, 0]}, {edges[i, 1]})") from None
 
 
 def save_graph(g: Graph, path) -> None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from . import coloring, connector, params
 from .coloring import DominatingFamily
 from .connector import CdsPacking
-from .errors import CdsPackError, ResampleBudgetExhausted, error_body
+from .errors import (CdsPackError, NonRegularGraph, ResampleBudgetExhausted,
+                     error_body)
 from .graph import Graph
 from .params import PackingParams
 from .verifier import VerificationReport
@@ -61,8 +62,10 @@ def run(g: Graph, lam: float, seed: int, epsilon: float,
         return result
 
     try:
-        pars = params.derive_params(g.n, g.regular_degree(), lam, epsilon,
-                                    mode=mode)
+        d = g.regular_degree()
+        if d is None:
+            raise NonRegularGraph("pack requires a regular graph")
+        pars = params.derive_params(g.n, d, lam, epsilon, mode=mode)
     except (CdsPackError, ValueError) as exc:
         return fail("params", exc)
     result.params = pars

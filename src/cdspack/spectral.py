@@ -3,22 +3,24 @@
 lambda = max(lambda_2, |lambda_n|) is the largest eigenvalue magnitude of the
 adjacency operator with the all-ones direction deflated, A' : x -> A x -
 d*mean(x) (the all-ones vector is an eigenvector of every regular graph,
-with eigenvalue d). On graphs with n <= DENSE_LIMIT both the bound `pack`
-consumes and `spectrum`'s measurement come from one dense symmetric
-eigendecomposition, built in numpy, and are exact.
+with eigenvalue d). `_deflated_adjacency` is the one definition of A', a
+gather over the neighbour lists that both commands apply. Both also answer
+the same graphs exactly, by `_exact_extremal`: a dense symmetric
+eigendecomposition for n <= DENSE_LIMIT (method "dense"), else the closed
+forms of the empty and complete graphs ("closed-form").
 
-Above that, `pack` takes lambda from `lambda_bound`: a fixed number of plain
-Lanczos steps on A'^2, which is positive semidefinite with top eigenvalue
-lambda^2. Kuczynski and Wozniakowski (SIAM J. Matrix Anal. Appl. 13(4),
-1992) bound how far the top Ritz value theta_k of k steps from a uniformly
-random start can fall below it: P(theta_k < (1 - eps) lambda^2) <= 1.648 sqrt(n)
-e^(-sqrt(eps) (2k - 1)). With eps = 1 - 1/SAFETY_MARGIN^2 the bound
-SAFETY_MARGIN * sqrt(theta_k) is at least lambda except with probability
-BOUND_DELTA once k >= `lanczos_steps(n)`: 33 steps at n = 20000 and at
-n = 50000. Three caveats: the probability is over the start vector, which is
-seeded and therefore fixed for a given n; the theorem is proved in exact
-arithmetic, while the basis here is float32 (fully reorthogonalised, with
-the tridiagonal matrix accumulated in float64); and A'^2 cannot tell
+On other graphs `pack` takes lambda from `lambda_bound`: a fixed number of
+plain Lanczos steps on A'^2, which is positive semidefinite with top
+eigenvalue lambda^2. Kuczynski and Wozniakowski (SIAM J. Matrix Anal. Appl.
+13(4), 1992) bound how far the top Ritz value theta_k of k steps from a
+uniformly random start can fall below it: P(theta_k < (1 - eps) lambda^2) <=
+1.648 sqrt(n) e^(-sqrt(eps) (2k - 1)). With eps = 1 - 1/SAFETY_MARGIN^2 the
+bound SAFETY_MARGIN * sqrt(theta_k) is at least lambda except with
+probability BOUND_DELTA once k >= `lanczos_steps(n)`: 33 steps at n = 20000
+and at n = 50000. Three caveats: the probability is over the start vector,
+which is seeded and therefore fixed for a given n; the theorem is proved in
+exact arithmetic, while the basis here is float32 (fully reorthogonalised,
+with the tridiagonal matrix accumulated in float64); and A'^2 cannot tell
 lambda_2 from lambda_n, which is why `spectrum` measures them separately.
 The bound needs numpy alone, so `pack` never imports SciPy, and no
 reduction in it runs through BLAS: the dot products, the start vector's
@@ -27,12 +29,12 @@ sums do not split by BLAS thread count, so the bound has the same bits under
 any OPENBLAS_NUM_THREADS.
 
 `spectrum` measures lambda_2 and lambda_n by one Lanczos call (ARPACK, via
-SciPy, imported on first use) at both ends of A' in float64, to a relative
-tolerance tol. Its profile carries the true residual |A'x - theta x| of the
-unit Ritz vector x at each end, so a report shows how well its eigenvalues
-converged; the dense path reports 0. A residual does not bound the distance
-to the extreme eigenvalue: a Ritz pair that converged to an interior
-eigenvalue has a small residual too.
+SciPy, imported on first use) at both ends of the same A' in float64, to a
+relative tolerance tol (method "iterative"). Its profile carries the true
+residual |A'x - theta x| of the unit Ritz vector x at each end, so a report
+shows how well its eigenvalues converged; both exact methods report 0. A
+residual does not bound the distance to the extreme eigenvalue: a Ritz pair
+that converged to an interior eigenvalue has a small residual too.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class SpectralProfile:
     lam: float    # max(lambda2, |lambda_n|); serialized under the key "lambda"
     ratio: float  # d / lam
     tol: float
-    method: str   # "dense" | "iterative"
+    method: str   # "dense" | "closed-form" | "iterative"
     lambda2_residual: float   # |A'x - lambda2 x| of its unit Ritz vector
-    lambda_n_residual: float  # the same at lambda_n; both 0 on the dense path
+    lambda_n_residual: float  # the same at lambda_n; both 0 when exact
 
     def to_json(self) -> dict:
         return {
@@ -76,6 +78,7 @@ class SpectralProfile:
             "lambda": self.lam,
             "ratio": self.ratio if self.lam > 0 else None,  # JSON has no Infinity
             "tol": self.tol,
+            "method": self.method,
             "lambda2_residual": self.lambda2_residual,
             "lambda_n_residual": self.lambda_n_residual,
         }
@@ -103,77 +106,67 @@ def _require_regular(g: Graph) -> int:
     return d
 
 
-def _profile(d: int, lambda2: float, lambda_n: float, residual2: float,
-             residual_n: float, tol: float, method: str) -> SpectralProfile:
-    lam = max(lambda2, abs(lambda_n))
-    ratio = d / lam if lam > 0 else float("inf")
-    return SpectralProfile(float(lambda2), float(lambda_n), float(lam), ratio, tol,
-                           method, float(residual2), float(residual_n))
+def _exact_extremal(g: Graph, d: int) -> tuple[float, float, str] | None:
+    """(lambda_2, lambda_n, method) where both are known exactly, else None.
 
-
-def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
-    """lambda_2 and lambda_n of the adjacency operator, to relative accuracy tol.
-
-    Dense eigendecomposition for n <= DENSE_LIMIT, Lanczos above that.
+    Dense eigendecomposition for n <= DENSE_LIMIT; above that, the empty
+    graph's deflated spectrum is all 0, and K_n (d = n - 1) is the one graph
+    with lambda_2 < 0: lambda_2 = lambda_n = -1.
     """
-    d = _require_regular(g)
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if g.n <= DENSE_LIMIT:
-        lambda2, lambda_n = _dense_extremal(g)
-        return _profile(d, lambda2, lambda_n, 0.0, 0.0, tol, "dense")
-    return _profile(d, *_iterative_extremal(g, tol), tol, "iterative")
-
-
-def _dense_extremal(g: Graph) -> tuple[float, float]:
-    a = np.zeros((g.n, g.n))
-    a[g.row_index, g.indices] = 1.0
-    w = np.linalg.eigvalsh(a)
-    return float(w[-2]), float(w[0])
-
-
-def _closed_form(d: int, n: int) -> tuple[float, float] | None:
-    """lambda_2 and lambda_n of the graphs whose deflated spectrum is known.
-
-    The empty graph's is all 0. K_n (d = n - 1) is the one graph with
-    lambda_2 < 0: lambda_2 = lambda_n = -1.
-    """
+        a = np.zeros((g.n, g.n))
+        a[g.row_index, g.indices] = 1.0
+        w = np.linalg.eigvalsh(a)
+        return float(w[-2]), float(w[0]), "dense"
     if d == 0:
-        return 0.0, 0.0
-    if d == n - 1:
-        return -1.0, -1.0
+        return 0.0, 0.0, "closed-form"
+    if d == g.n - 1:
+        return -1.0, -1.0, "closed-form"
     return None
 
 
-def _iterative_extremal(g: Graph, tol: float) -> tuple[float, float, float, float]:
+def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
+    """lambda_2 and lambda_n of the adjacency operator: exact where
+    `_exact_extremal` knows them, else to relative accuracy tol."""
+    d = _require_regular(g)
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    exact = _exact_extremal(g, d)
+    if exact is None:
+        lambda2, lambda_n, residual2, residual_n = _iterative_extremal(g, d, tol)
+        method = "iterative"
+    else:
+        lambda2, lambda_n, method = exact
+        residual2 = residual_n = 0.0
+    lam = max(lambda2, abs(lambda_n))
+    ratio = d / lam if lam > 0 else float("inf")
+    return SpectralProfile(lambda2, lambda_n, lam, ratio, tol, method,
+                           residual2, residual_n)
+
+
+def _iterative_extremal(g: Graph, d: int,
+                        tol: float) -> tuple[float, float, float, float]:
     """Lanczos estimates of lambda_2 and lambda_n from one call at both ends,
     then the residuals |A'x - theta x| of their unit Ritz vectors.
 
     trace A = 0 gives lambda_n < 0 once there is an edge, and interlacing on
-    the zero 2x2 block of any non-adjacent pair gives lambda_2 >= 0: the two
-    ends of the deflated spectrum are lambda_n and lambda_2. The graphs of
-    `_closed_form` have no such pair or no edge, and are answered with
-    residual 0.
+    the zero 2x2 block of any non-adjacent pair gives lambda_2 >= 0: on a
+    graph `_exact_extremal` does not answer, the two ends of the deflated
+    spectrum are lambda_n and lambda_2.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as linalg
 
-    d = _require_regular(g)
     n = g.n
-    known = _closed_form(d, n)
-    if known is not None:
-        return (*known, 0.0, 0.0)
-    a = sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
-    op = linalg.LinearOperator((n, n), matvec=lambda x: a @ x - d * x.mean(),
-                               dtype=np.float64)
+    deflated = _deflated_adjacency(g, d)
+    op = linalg.LinearOperator((n, n), matvec=deflated, dtype=np.float64)
     v0 = rng_for(_V0_TAG, n).standard_normal(n)
     try:
         w, x = linalg.eigsh(op, k=2, which="BE", tol=tol, v0=v0)
     except linalg.ArpackNoConvergence as exc:
         raise EigenConvergenceError(f"Lanczos did not converge: {exc}") from None
-    # both residuals from one sparse product; these two columns are the only
-    # applications of A' outside the Lanczos call
-    residual = np.linalg.norm(a @ x - d * x.mean(axis=0) - x * w, axis=0)
+    # both residuals from one product with the (n, 2) Ritz block; these two
+    # columns are the only applications of A' outside the Lanczos call
+    residual = np.linalg.norm(deflated(x) - x * w, axis=0)
     hi, lo = int(np.argmax(w)), int(np.argmin(w))
     return float(w[hi]), float(w[lo]), float(residual[hi]), float(residual[lo])
 
@@ -186,19 +179,16 @@ def lanczos_steps(n: int) -> int:
 
 
 def lambda_bound(g: Graph) -> LambdaBound:
-    """The lambda parameter derivation consumes: exact on the dense path and
-    for the closed forms, else SAFETY_MARGIN * sqrt(theta_k) from
+    """The lambda parameter derivation consumes: exact where
+    `_exact_extremal` knows it, else SAFETY_MARGIN * sqrt(theta_k) from
     `lanczos_steps(n)` Lanczos steps on A'^2."""
     d = _require_regular(g)
-    n = g.n
-    if n <= DENSE_LIMIT:
-        lambda2, lambda_n = _dense_extremal(g)
+    exact = _exact_extremal(g, d)
+    if exact is not None:
+        lambda2, lambda_n, method = exact
         lam = max(lambda2, abs(lambda_n))
-        return LambdaBound(lam, lam, 0, 0.0, "dense")
-    known = _closed_form(d, n)
-    if known is not None:
-        lam = max(known[0], abs(known[1]))
-        return LambdaBound(lam, lam, 0, 0.0, "closed-form")
+        return LambdaBound(lam, lam, 0, 0.0, method)
+    n = g.n
     v0 = rng_for(_V0_TAG, n).standard_normal(n)
     theta, steps = _top_ritz_value(_deflated_adjacency(g, d), v0, lanczos_steps(n))
     ritz = sqrt(theta)
@@ -206,19 +196,20 @@ def lambda_bound(g: Graph) -> LambdaBound:
 
 
 def _deflated_adjacency(g: Graph, d: int):
-    """x -> A x - d*mean(x) on float32 vectors, as a gather over the neighbour
-    lists: row r of `cols` holds every vertex's r-th neighbour, so each of
-    the d passes gathers n entries and adds them in place."""
+    """A' : x -> A x - d*mean(x) along axis 0, for x of shape (n,) or (n, k)
+    and in x's precision, as a gather over the neighbour lists: row r of
+    `cols` holds every vertex's r-th neighbour, so each of the d passes
+    gathers n rows of x and adds them in place."""
     cols = np.ascontiguousarray(g.indices.reshape(g.n, d).T)
-    buf = np.empty(g.n, dtype=np.float32)
 
     # CSR indices lie in [0, n): "wrap" is the identity and skips bounds checks
     def apply(x: np.ndarray) -> np.ndarray:
-        y = x.take(cols[0], mode="wrap")
+        y = x.take(cols[0], axis=0, mode="wrap")
+        buf = np.empty_like(y)
         for row in cols[1:]:
-            np.take(x, row, out=buf, mode="wrap")
+            np.take(x, row, axis=0, out=buf, mode="wrap")
             y += buf
-        y -= np.float32(d * x.mean(dtype=np.float64))
+        y -= (d * x.mean(axis=0, dtype=np.float64)).astype(x.dtype)
         return y
 
     return apply

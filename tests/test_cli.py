@@ -40,9 +40,10 @@ def test_spectrum_report_keys(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     prof = report["spectral"]
-    assert set(prof) == {"lambda2", "lambda_n", "lambda", "ratio", "tol",
+    assert set(prof) == {"lambda2", "lambda_n", "lambda", "ratio", "tol", "method",
                          "lambda2_residual", "lambda_n_residual"}
     assert abs(prof["lambda"] - 2.0) < 1e-9
+    assert prof["method"] == "dense"
 
 
 def test_pack_small_practice_run(tmp_path):

@@ -39,7 +39,7 @@ def reference_load(path):
             n, m = int(header[0]), int(header[1])
         except ValueError as exc:
             raise GraphFormatError(f"bad header: {exc}") from None
-        edges = []
+        edges, lines = [], []
         for lineno, raw in enumerate(fh, start=2):
             parts = raw.split()
             if not parts:
@@ -58,10 +58,16 @@ def reference_load(path):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: vertex id out of range")
             edges.append((u, v))
+            lines.append(lineno)
     if len(edges) != m:
         raise GraphFormatError(f"header promises {m} edges, file has {len(edges)}")
     if n < 0:
         raise GraphFormatError("vertex count must be nonnegative")
+    seen = set()
+    for (u, v), lineno in zip(edges, lines):
+        if (u, v) in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+        seen.add((u, v))
     return reference_csr(n, edges)
 
 
@@ -323,7 +329,11 @@ REJECTIONS = [
     ("3 1\n1 0\n", "line 2: endpoints must satisfy u < v"),
     ("3 1\n0 7\n", "line 2: vertex id out of range"),
     ("3 1\n-1 2\n", "line 2: vertex id out of range"),
-    ("3 2\n0 1\n0 1\n", "duplicate edges are not allowed"),
+    ("3 2\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)"),
+    ("3 3\r\n0 1\r\n1 2\r\n0 1\r\n", "line 4: duplicate edge (0, 1)"),
+    ("3 3\n1 2\n\n0 1\n1 2\n", "line 5: duplicate edge (1, 2)"),
+    # repeats are looked for once every line parses
+    ("3 3\n0 1\n0 1\n0 x\n", "line 4: 'x' is not an integer vertex id"),
     ("3 2\n0 1\n", "header promises 2 edges, file has 1"),
     ("3 1\n0 x\n", "line 2: 'x' is not an integer vertex id"),
     ("3 2\n0 1\n1.5 2\n", "line 3: '1.5' is not an integer vertex id"),
@@ -385,6 +395,8 @@ def _layouts():
         "rejection-self-loop": edge_12(f"{u} {u}"),
         "rejection-out-of-range": edge_12(f"{u} {g.n}"),
         "rejection-duplicate": plain(shuffled + [shuffled[5]], g.m + 1),
+        "rejection-crlf-duplicate": f"{g.n} {g.m + 1}\r\n" + "\r\n".join(
+            shuffled[:20] + [shuffled[5]] + shuffled[20:]) + "\r\n",
         "rejection-count-mismatch": plain(shuffled[:-1]),
         "rejection-one-token": edge_12(f"{u} "),
         "rejection-unterminated-token": plain(shuffled) + "7",

@@ -1,7 +1,8 @@
 import pytest
 
-from cdspack import (brute_force_max_disjoint_cds, lambda_bound, petersen_graph,
-                     pipeline, random_regular, verify_packing)
+from cdspack import (brute_force_max_disjoint_cds, glued_cliques, lambda_bound,
+                     petersen_graph, pipeline, random_regular, verify_packing)
+from cdspack.errors import NonRegularGraph
 
 
 @pytest.mark.parametrize("n,d,seed,d_star", [
@@ -32,3 +33,12 @@ def test_petersen_packs_within_the_oracle(seed):
     assert verify_packing(g, result.packing).failures == []
     oracle, _ = brute_force_max_disjoint_cds(g)
     assert 1 <= len(result.packing.sets) <= oracle == 2
+
+
+def test_non_regular_graph_fails_in_params():
+    # a typed error in the report, not a TypeError from params arithmetic
+    result = pipeline.run(glued_cliques(5), 3.0, 1, 0.3)
+    assert isinstance(result.error, NonRegularGraph)
+    assert result.body["error"]["phase"] == "params"
+    assert result.body["error"]["type"] == "NonRegularGraph"
+    assert result.params is None and "params" not in result.body

@@ -15,8 +15,7 @@ from cdspack.errors import NonRegularGraph
 from cdspack.graph import Graph
 from cdspack import spectral
 from cdspack.rand import rng_for
-from cdspack.spectral import (DENSE_LIMIT, _dense_extremal, _iterative_extremal,
-                              lanczos_steps)
+from cdspack.spectral import DENSE_LIMIT, _iterative_extremal, lanczos_steps
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -32,6 +31,19 @@ def mixing_slack(g, lam, a, b):
         return 0.0
     expected = len(a) * len(b) * d / g.n
     return lam * math.sqrt(len(a) * len(b)) - abs(edge_count_between(g, a, b) - expected)
+
+
+def dense_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    e = g.edge_array()
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1.0
+    return a
+
+
+def dense_extremal(g):
+    """lambda_2 and lambda_n by np.linalg.eigvalsh, at any n."""
+    w = np.linalg.eigvalsh(dense_adjacency(g))
+    return float(w[-2]), float(w[0])
 
 
 def test_complete_graph_spectrum():
@@ -71,8 +83,8 @@ def test_iterative_matches_dense_small():
     tol = 1e-9
     for seed, (n, d) in enumerate([(64, 8), (128, 10), (256, 12)]):
         g = random_regular(n, d, seed)
-        l2_d, ln_d = _dense_extremal(g)
-        l2_i, ln_i, _, _ = _iterative_extremal(g, tol)
+        l2_d, ln_d = dense_extremal(g)
+        l2_i, ln_i, _, _ = _iterative_extremal(g, d, tol)
         assert l2_i == pytest.approx(l2_d, abs=10 * tol + 1e-8)
         assert ln_i == pytest.approx(ln_d, abs=10 * tol + 1e-8)
 
@@ -95,9 +107,9 @@ def test_iterative_path_makes_one_lanczos_call(monkeypatch):
     calls = record_eigsh(monkeypatch)
     tol = 1e-8
     g = random_regular(600, 8, 4)
-    l2_i, ln_i, r2, rn = _iterative_extremal(g, tol)
+    l2_i, ln_i, r2, rn = _iterative_extremal(g, 8, tol)
     assert len(calls) == 1
-    l2_d, ln_d = _dense_extremal(g)
+    l2_d, ln_d = dense_extremal(g)
     assert l2_i == pytest.approx(l2_d, abs=10 * tol * 8)
     assert ln_i == pytest.approx(ln_d, abs=10 * tol * 8)
     assert 0 <= r2 < 1e-5 and 0 <= rn < 1e-5  # converged pairs, tiny residuals
@@ -144,7 +156,7 @@ def test_lanczos_precision_follows_tol(monkeypatch, tol, dtype):
         matvec, = ops
     else:
         calls = record_eigsh(monkeypatch)
-        _iterative_extremal(g, tol)
+        _iterative_extremal(g, 8, tol)
         (op, kwargs, _), = calls
         assert op.dtype == dtype and kwargs["v0"].dtype == dtype
         matvec = op.matvec
@@ -206,16 +218,18 @@ def two_copies(g):
     return Graph(2 * g.n, np.vstack([e, e + g.n]).tolist())
 
 
-@pytest.mark.parametrize("g, lambda2, lambda_n", [
-    (complete_graph(600), -1.0, -1.0),           # the one graph with lambda_2 < 0
-    (two_copies(random_regular(600, 6, 3)), 6.0, None),  # disconnected: d repeats
-    (cycle_graph(600), None, -2.0),              # bipartite: -d is an eigenvalue
+@pytest.mark.parametrize("g, lambda2, lambda_n, method", [
+    # the one graph with lambda_2 < 0, answered in closed form past the
+    # dense sizes
+    (complete_graph(600), -1.0, -1.0, "closed-form"),
+    (two_copies(random_regular(600, 6, 3)), 6.0, None, "iterative"),  # d repeats
+    (cycle_graph(600), None, -2.0, "iterative"),  # bipartite: -d is an eigenvalue
 ], ids=["K600", "two-copies", "C600"])
-def test_iterative_path_known_spectra(g, lambda2, lambda_n):
+def test_iterative_path_known_spectra(g, lambda2, lambda_n, method):
     tol = 1e-6
     assert g.n > DENSE_LIMIT
     prof = extremal_eigenvalues(g, tol=tol)
-    assert prof.method == "iterative"
+    assert prof.method == method
     scale = max(1.0, abs(prof.lambda2), abs(prof.lambda_n))
     if lambda2 is not None:
         assert prof.lambda2 == pytest.approx(lambda2, abs=10 * tol * scale)
@@ -247,7 +261,7 @@ def assert_bound_within_margin(bound, lam):
 def test_default_pack_tol_stays_inside_margin(n, d, seed):
     """pack's lambda bound lies between the dense lambda and 1.05 times it."""
     g = random_regular(n, d, seed)
-    lambda2, lambda_n = _dense_extremal(g)  # np.linalg.eigvalsh
+    lambda2, lambda_n = dense_extremal(g)
     assert_bound_within_margin(lambda_bound(g), max(lambda2, -lambda_n))
 
 
@@ -299,6 +313,22 @@ def test_bound_closed_forms():
     assert lambda_bound(complete_graph(600)).to_json() == {
         "lambda_bound": 1.0, "ritz_lambda": 1.0, "steps": 0, "delta": 0.0,
         "method": "closed-form"}
+
+
+@pytest.mark.parametrize("g, method, lam", [
+    (petersen_graph(), "dense", 2.0),
+    (complete_graph(600), "closed-form", 1.0),
+    (Graph(600, []), "closed-form", 0.0),
+], ids=["petersen", "K600", "empty600"])
+def test_spectrum_and_pack_agree_on_exact_graphs(monkeypatch, g, method, lam):
+    """spectrum and pack's bound decide the exact cases in one place: the
+    same method and lambda, residual 0, and no Lanczos call."""
+    calls = record_eigsh(monkeypatch)
+    prof, bound = extremal_eigenvalues(g), lambda_bound(g)
+    assert prof.method == bound.method == method
+    assert prof.lam == bound.bound == bound.ritz == pytest.approx(lam, abs=1e-9)
+    assert prof.lambda2_residual == prof.lambda_n_residual == 0.0
+    assert (bound.steps, bound.delta, calls) == (0, 0.0, [])
 
 
 def test_mixing_slack_examples():
