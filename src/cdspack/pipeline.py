@@ -12,11 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from . import coloring, connector, params
+from . import coloring, connector, params, spectral
 from .coloring import DominatingFamily
 from .connector import CdsPacking
-from .errors import (CdsPackError, NonRegularGraph, ResampleBudgetExhausted,
-                     error_body)
+from .errors import CdsPackError, ResampleBudgetExhausted, error_body
 from .graph import Graph
 from .params import PackingParams
 from .verifier import VerificationReport
@@ -62,10 +61,8 @@ def run(g: Graph, lam: float, seed: int, epsilon: float,
         return result
 
     try:
-        d = g.regular_degree()
-        if d is None:
-            raise NonRegularGraph("pack requires a regular graph")
-        pars = params.derive_params(g.n, d, lam, epsilon, mode=mode)
+        pars = params.derive_params(g.n, spectral.require_regular(g), lam,
+                                    epsilon, mode=mode)
     except (CdsPackError, ValueError) as exc:
         return fail("params", exc)
     result.params = pars

@@ -3,11 +3,13 @@
 lambda = max(lambda_2, |lambda_n|) is the largest eigenvalue magnitude of the
 adjacency operator with the all-ones direction deflated, A' : x -> A x -
 d*mean(x) (the all-ones vector is an eigenvector of every regular graph,
-with eigenvalue d). `_deflated_adjacency` is the one definition of A', a
-gather over the neighbour lists that both commands apply. Both also answer
-the same graphs exactly, by `_exact_extremal`: a dense symmetric
-eigendecomposition for n <= DENSE_LIMIT (method "dense"), else the closed
-forms of the empty and complete graphs ("closed-form").
+with eigenvalue d). `_deflated_adjacency` is the one definition of A'. It
+takes the product A x as a function: `pack` gets the default, a gather over
+the neighbour lists in numpy alone, and `spectrum` passes SciPy's CSR
+product, which adds in the same order and is faster in float64. Both
+commands also answer the same graphs exactly, by `_exact_extremal`: a dense
+symmetric eigendecomposition for n <= DENSE_LIMIT (method "dense"), else
+the closed forms of the empty and complete graphs ("closed-form").
 
 On other graphs `pack` takes lambda from `lambda_bound`: a fixed number of
 plain Lanczos steps on A'^2, which is positive semidefinite with top
@@ -29,8 +31,8 @@ sums do not split by BLAS thread count, so the bound has the same bits under
 any OPENBLAS_NUM_THREADS.
 
 `spectrum` measures lambda_2 and lambda_n by one Lanczos call (ARPACK, via
-SciPy, imported on first use) at both ends of the same A' in float64, to a
-relative tolerance tol (method "iterative"). Its profile carries the true
+SciPy, imported on first use) at both ends of A' in float64, to a relative
+tolerance tol (method "iterative"). Its profile carries the true
 residual |A'x - theta x| of the unit Ritz vector x at each end, so a report
 shows how well its eigenvalues converged; both exact methods report 0. A
 residual does not bound the distance to the extreme eigenvalue: a Ritz pair
@@ -72,16 +74,11 @@ class SpectralProfile:
     lambda_n_residual: float  # the same at lambda_n; both 0 when exact
 
     def to_json(self) -> dict:
-        return {
-            "lambda2": self.lambda2,
-            "lambda_n": self.lambda_n,
-            "lambda": self.lam,
-            "ratio": self.ratio if self.lam > 0 else None,  # JSON has no Infinity
-            "tol": self.tol,
-            "method": self.method,
-            "lambda2_residual": self.lambda2_residual,
-            "lambda_n_residual": self.lambda_n_residual,
-        }
+        return {"lambda2": self.lambda2, "lambda_n": self.lambda_n, "lambda": self.lam,
+                "ratio": self.ratio if self.lam > 0 else None,  # JSON has no Infinity
+                "tol": self.tol, "method": self.method,
+                "lambda2_residual": self.lambda2_residual,
+                "lambda_n_residual": self.lambda_n_residual}
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,8 @@ class LambdaBound:
                 "steps": self.steps, "delta": self.delta, "method": self.method}
 
 
-def _require_regular(g: Graph) -> int:
+def require_regular(g: Graph) -> int:
+    """g's degree; NonRegularGraph if g is not regular."""
     d = g.regular_degree()
     if d is None:
         raise NonRegularGraph("operation requires a regular graph")
@@ -128,7 +126,7 @@ def _exact_extremal(g: Graph, d: int) -> tuple[float, float, str] | None:
 def extremal_eigenvalues(g: Graph, tol: float = 1e-9) -> SpectralProfile:
     """lambda_2 and lambda_n of the adjacency operator: exact where
     `_exact_extremal` knows them, else to relative accuracy tol."""
-    d = _require_regular(g)
+    d = require_regular(g)
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     exact = _exact_extremal(g, d)
@@ -154,10 +152,12 @@ def _iterative_extremal(g: Graph, d: int,
     graph `_exact_extremal` does not answer, the two ends of the deflated
     spectrum are lambda_n and lambda_2.
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as linalg
 
     n = g.n
-    deflated = _deflated_adjacency(g, d)
+    a = sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    deflated = _deflated_adjacency(g, d, a.dot)
     op = linalg.LinearOperator((n, n), matvec=deflated, dtype=np.float64)
     v0 = rng_for(_V0_TAG, n).standard_normal(n)
     try:
@@ -182,7 +182,7 @@ def lambda_bound(g: Graph) -> LambdaBound:
     """The lambda parameter derivation consumes: exact where
     `_exact_extremal` knows it, else SAFETY_MARGIN * sqrt(theta_k) from
     `lanczos_steps(n)` Lanczos steps on A'^2."""
-    d = _require_regular(g)
+    d = require_regular(g)
     exact = _exact_extremal(g, d)
     if exact is not None:
         lambda2, lambda_n, method = exact
@@ -195,20 +195,28 @@ def lambda_bound(g: Graph) -> LambdaBound:
     return LambdaBound(SAFETY_MARGIN * ritz, ritz, steps, BOUND_DELTA, "lanczos")
 
 
-def _deflated_adjacency(g: Graph, d: int):
+def _deflated_adjacency(g: Graph, d: int, product=None):
     """A' : x -> A x - d*mean(x) along axis 0, for x of shape (n,) or (n, k)
-    and in x's precision, as a gather over the neighbour lists: row r of
-    `cols` holds every vertex's r-th neighbour, so each of the d passes
-    gathers n rows of x and adds them in place."""
-    cols = np.ascontiguousarray(g.indices.reshape(g.n, d).T)
+    and in x's precision, where `product(x)` returns a new array A x.
 
-    # CSR indices lie in [0, n): "wrap" is the identity and skips bounds checks
+    The default product gathers over the neighbour lists: row r of `cols`
+    holds every vertex's r-th neighbour, so each of the d passes gathers n
+    rows of x and adds them in place, in CSR order as SciPy's product does.
+    """
+    if product is None:
+        cols = np.ascontiguousarray(g.indices.reshape(g.n, d).T)
+
+        # CSR indices lie in [0, n): "wrap" is the identity and skips bounds checks
+        def product(x: np.ndarray) -> np.ndarray:
+            y = x.take(cols[0], axis=0, mode="wrap")
+            buf = np.empty_like(y)
+            for row in cols[1:]:
+                np.take(x, row, axis=0, out=buf, mode="wrap")
+                y += buf
+            return y
+
     def apply(x: np.ndarray) -> np.ndarray:
-        y = x.take(cols[0], axis=0, mode="wrap")
-        buf = np.empty_like(y)
-        for row in cols[1:]:
-            np.take(x, row, axis=0, out=buf, mode="wrap")
-            y += buf
+        y = product(x)
         y -= (d * x.mean(axis=0, dtype=np.float64)).astype(x.dtype)
         return y
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cdspack import (complete_graph, cycle_graph, edge_count_between,
@@ -26,7 +27,7 @@ def mixing_slack(g, lam, a, b):
     Nonnegative (up to rounding) whenever lam is a true upper bound on the
     graph's second eigenvalue magnitude.
     """
-    d = spectral._require_regular(g)
+    d = spectral.require_regular(g)
     if len(a) == 0 or len(b) == 0:
         return 0.0
     expected = len(a) * len(b) * d / g.n
@@ -115,13 +116,6 @@ def test_iterative_path_makes_one_lanczos_call(monkeypatch):
     assert 0 <= r2 < 1e-5 and 0 <= rn < 1e-5  # converged pairs, tiny residuals
 
 
-def dense_adjacency(g):
-    a = np.zeros((g.n, g.n))
-    e = g.edge_array()
-    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1.0
-    return a
-
-
 def record_deflated(monkeypatch) -> tuple[list, list]:
     """Stub spectral._deflated_adjacency so each operator it builds is kept,
     and each product lambda_bound takes with it appends its input's dtype."""
@@ -182,6 +176,20 @@ def test_deflated_adjacency_matches_bounds_checked_gathers():
     assert y.dtype == np.float32 and y.tobytes() == reference.tobytes()
     expected = dense_adjacency(g) @ x.astype(np.float64) - d * x.astype(np.float64).mean()
     assert np.allclose(y, expected, rtol=0, atol=100 * np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_gather_and_csr_products_agree(d):
+    """spectrum's A', on SciPy's CSR product, and pack's, on the gather, add
+    each vertex's neighbours in the same order: the same bits in float64,
+    on a vector and on an (n, 2) block."""
+    g = random_regular(600, d, 4)
+    a = sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    x = rng_for(13).standard_normal((g.n, 2))
+    gathered = spectral._deflated_adjacency(g, d)
+    csr = spectral._deflated_adjacency(g, d, a.dot)
+    for v in (x[:, 0], x):
+        assert gathered(v).tobytes() == csr(v).tobytes()
 
 
 @pytest.mark.parametrize("d", [8, 64])
