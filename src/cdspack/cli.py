@@ -6,6 +6,12 @@ the separate "timings" key so reports stay diffable. A failed run reports
 its phase under "error"; phases fed by arguments catch _CAUGHT, coloring and
 connect only CdsPackError, and _ERROR_CODE maps each failure to its code.
 Arguments argparse rejects are reported under phase "arguments" by _Parser.
+
+`pack` bounds lambda in a forked child (_ForkedBound) once the graph is
+loaded and found regular. Practice trials read no lambda, so they run in
+the parent meanwhile, and the parent waits for the child only to fill the
+"spectral" block and `timings.spectral`, the child's own time; theory mode
+waits for it before params, because m and D need lambda.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os  # os and pickle are loaded before cli is (numpy imports pickle)
+import pickle
 import sys
 import time
 
@@ -156,30 +164,105 @@ def run_spectrum(args) -> int:
     return _emit(report, args.report, EXIT_CODES["ok"])
 
 
+class _ForkedBound:
+    """`spectral.lambda_bound(g)` in a forked child, while the parent goes on.
+
+    The child pickles the bound or the exception it raised, with its own
+    elapsed seconds, into a pipe, and always ends in `os._exit`: it never
+    flushes the stdio it inherited and never returns into a caller. Where
+    `os.fork` does not exist the bound runs inline. `close` kills the child
+    if it still runs and reaps it, so no process outlives `pack`.
+    """
+
+    def __init__(self, g):
+        self._pid = self._fd = self._outcome = None
+        if not hasattr(os, "fork"):
+            self._outcome = _timed_bound(g)
+            return
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as fh:
+                    pickle.dump(_timed_bound(g), fh)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self._pid, self._fd = pid, read_fd
+
+    def result(self) -> tuple[spectral.LambdaBound, float]:
+        """The bound and the child's seconds; raises what the bound raised."""
+        if self._outcome is None:
+            fd, self._fd = self._fd, None
+            with open(fd, "rb") as fh:
+                data = fh.read()
+            os.waitpid(self._pid, 0)
+            self._pid = None
+            if not data:
+                raise RuntimeError("the lambda bound's process ended without a result")
+            self._outcome = pickle.loads(data)
+        value, seconds = self._outcome
+        if isinstance(value, Exception):
+            raise value
+        return value, seconds
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+        if self._pid is not None:
+            import signal  # only a run that failed on the way gets here
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+
+
+def _timed_bound(g) -> tuple:
+    """(lambda bound or the exception it raised, seconds taken)."""
+    t0 = time.perf_counter()
+    try:
+        value = spectral.lambda_bound(g)
+    except Exception as exc:
+        value = exc
+    return value, time.perf_counter() - t0
+
+
 def run_pack(args) -> int:
     timings: dict = {}
     shared: dict = {}  # the "graph" and "spectral" blocks of every trial
     seeds = [args.seed + i for i in range(args.trials)]
-    phase = "generate"
+    phase, child, error = "generate", None, None
     try:
-        t0 = time.perf_counter()
-        g, ginfo = _load_or_generate(args)
-        timings["generate"] = time.perf_counter() - t0
-        shared["graph"] = {"n": g.n, "m": g.m, **ginfo}
-        phase = "spectral"
-        t0 = time.perf_counter()
-        bound = spectral.lambda_bound(g)
-        timings["spectral"] = time.perf_counter() - t0
-        shared["spectral"] = bound.to_json()
-    except _CAUGHT as exc:
-        error = error_body(phase, exc)
-        bodies = [{"seed": s, "timings": {}, **shared, "error": error} for s in seeds]
-        code = _code_for(exc)
+        try:
+            t0 = time.perf_counter()
+            g, ginfo = _load_or_generate(args)
+            timings["generate"] = time.perf_counter() - t0
+            shared["graph"] = {"n": g.n, "m": g.m, **ginfo}
+            phase = "spectral"
+            spectral.require_regular(g)
+            child = _ForkedBound(g)
+            # m and D need lambda; practice trials run while the child bounds it
+            lam = child.result()[0].bound if args.mode == "theory" else None
+        except _CAUGHT as exc:
+            error = exc
+        else:
+            results = [pipeline.run(g, lam, s, args.epsilon, mode=args.mode,
+                                    max_sets=args.max_sets, target=args.target)
+                       for s in seeds]
+            try:
+                bound, timings["spectral"] = child.result()
+            except _CAUGHT as exc:
+                error = exc
+    finally:
+        if child is not None:
+            child.close()
+
+    if error is not None:
+        body = error_body(phase, error)
+        bodies = [{"seed": s, "timings": {}, **shared, "error": body} for s in seeds]
+        code = _code_for(error)
         packing = None
     else:
-        results = [pipeline.run(g, bound.bound, s, args.epsilon, mode=args.mode,
-                                max_sets=args.max_sets, target=args.target)
-                   for s in seeds]
+        shared["spectral"] = bound.to_json()
         # max keeps the first of equals, so ties go to the lowest seed
         best = max((r for r in results if r.packing is not None),
                    key=lambda r: len(r.packing.sets), default=None)

@@ -31,7 +31,8 @@ class EigenConvergenceError(CdsPackError):
 
 
 class InfeasibleParameters(CdsPackError):
-    """Derived constants violate a feasibility constraint in theory mode."""
+    """The graph (n > d >= 3) or, in theory mode, the derived constants
+    violate a feasibility constraint."""
 
 
 class ResampleBudgetExhausted(CdsPackError):

@@ -20,7 +20,9 @@ d_star = K, p1 = (1 - eps^2)/K and p2 = 1. K is d_star_target rounded down
 to a multiple of round(ln d), the set count the two-stage split gave, so
 packing sizes match it. Practice mode downgrades feasibility failures to
 warnings. Its connector joins classes by shortest reservoir paths, which
-need no m, D or s, so practice mode leaves them None.
+need no m, D or s, so practice mode leaves them None, and it reads no
+lambda: `lam` may be None there, and `lambda_used` is then None too.
+Both modes reject a graph without n > d >= 3 as infeasible.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class PackingParams:
     s: int | None = None  # forest vertex budget n - 2Dm - 3m, theory mode only
     n: int = 0
     d: int = 0
-    lambda_used: float = 0.0
+    lambda_used: float | None = None  # None when practice mode was given no lambda
     d_star_target: int = 0  # floor((1-eps) d / ln d) before grid reconciliation
     warnings: list = field(default_factory=list)
 
@@ -83,9 +85,12 @@ class PackingParams:
         }
 
 
-def derive_params(n: int, d: int, lam: float, epsilon: float,
+def derive_params(n: int, d: int, lam: float | None, epsilon: float,
                   mode: str = "theory") -> PackingParams:
     """Derive all pipeline constants from (n, d, lambda, epsilon).
+
+    `lam` is an upper bound on lambda. Theory mode needs it for m and D;
+    practice mode reads it nowhere and accepts None.
 
     Rounding always undershoots the target set count: the split
     round(ln^5 d) (theory) or round(ln d) (practice) rounds to nearest, the
@@ -94,8 +99,11 @@ def derive_params(n: int, d: int, lam: float, epsilon: float,
     if mode not in ("theory", "practice"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (n > d >= 3):
-        raise ValueError("need n > d >= 3")
-    if lam <= 0:
+        raise InfeasibleParameters("need n > d >= 3")
+    if lam is None:
+        if mode == "theory":
+            raise ValueError("theory mode needs lambda")
+    elif lam <= 0:
         raise ValueError("lambda must be positive")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")

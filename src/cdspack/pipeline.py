@@ -1,8 +1,10 @@
-"""One seed of the packing pipeline, from a lambda bound to a verified packing.
+"""One seed of the packing pipeline, from params to a verified packing.
 
 Loading the graph and bounding its lambda depend only on the graph, so a
 caller does them once and calls `run` once per seed: params, coloring,
 connector, whose one verification `run` reports with the target applied.
+Only theory mode's params read lambda. Practice mode takes None, so `pack`
+runs its practice trials while a forked child bounds lambda (see `cli`).
 Each layer is called through its module, never through a name imported
 from it, so a tracer that wraps module attributes sees every call.
 """
@@ -40,12 +42,12 @@ class PackResult:
     error: CdsPackError | ValueError | None = None
 
 
-def run(g: Graph, lam: float, seed: int, epsilon: float,
+def run(g: Graph, lam: float | None, seed: int, epsilon: float,
         mode: str = "practice", max_sets: int | None = None,
         target: int | None = None) -> PackResult:
     """Derive params from `lam`, an upper bound on lambda such as
-    `spectral.lambda_bound(g).bound`, then color and connect one seed on
-    `g`, verified once.
+    `spectral.lambda_bound(g).bound` (None in practice mode, which reads
+    none), then color and connect one seed on `g`, verified once.
 
     Coloring retries with the next seed up to COLORING_RESTARTS times when
     its repair loop runs out of budget or cycles. Sets that fail to connect

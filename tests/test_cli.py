@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from cdspack import coloring, spectral
+from cdspack import coloring, pipeline, spectral
 from cdspack.cli import EXIT_CODES, main
-from cdspack.errors import PostconditionViolation, ResampleBudgetExhausted
+from cdspack.errors import (EigenConvergenceError, PostconditionViolation,
+                            ResampleBudgetExhausted)
 from cdspack.graph import load_graph
 
 REPO = Path(__file__).resolve().parents[1]
@@ -284,21 +285,75 @@ def test_tracing_sees_every_layer_once_per_use(tmp_path):
     assert calls["graph.components_of"] == 0
 
 
-def test_pack_bounds_lambda_once_per_invocation(capsys, monkeypatch):
-    real, bounds = spectral.lambda_bound, []
+def test_pack_bounds_lambda_once_per_invocation(tmp_path, capsys, monkeypatch):
+    """The bound runs in a forked child, so each call leaves a line in a file."""
+    real, calls = spectral.lambda_bound, tmp_path / "bounds.jsonl"
 
     def counted(g):
-        bounds.append(real(g))
-        return bounds[-1]
+        bound = real(g)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bound.to_json()) + "\n")
+        return bound
 
     monkeypatch.setattr(spectral, "lambda_bound", counted)
     assert main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4",
                  "--seed", "1", "--trials", "2"]) == 0
-    bound, = bounds
+    bound, = map(json.loads, calls.read_text().splitlines())
     for trial in json.loads(capsys.readouterr().out)["trials"]:
-        assert trial["spectral"] == bound.to_json()
+        assert trial["spectral"] == bound
         assert trial["spectral"]["method"] == "lanczos"
-        assert trial["params"]["lambda_used"] == bound.bound
+        # practice params read no lambda: it lives in the spectral block only
+        assert trial["params"]["lambda_used"] is None
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_bound_leaves_no_child_and_matches_the_inline_one(capsys, monkeypatch):
+    argv = ["pack", "--n", "600", "--d", "16", "--epsilon", "0.4", "--seed", "1"]
+    assert main(argv) == 0
+    assert_no_child_left()
+    forked = json.loads(capsys.readouterr().out)
+    monkeypatch.delattr(os, "fork")  # where there is no fork the bound runs inline
+    assert main(argv) == 0
+    inline = json.loads(capsys.readouterr().out)
+    assert forked["timings"]["spectral"] > 0
+    assert {**forked, "timings": None} == {**inline, "timings": None}
+
+
+def test_failing_trial_kills_the_bound(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(pipeline, "run", fail)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        main(["pack", "--n", "20000", "--d", "16", "--seed", "1"])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", ["practice", "theory"])
+def test_failed_bound_fails_every_trial(capsys, monkeypatch, mode):
+    def fail(g):
+        raise EigenConvergenceError("stubbed")
+
+    runs = []
+    real_run = pipeline.run
+    monkeypatch.setattr(spectral, "lambda_bound", fail)
+    monkeypatch.setattr(pipeline, "run", lambda *a, **k: runs.append(1) or real_run(*a, **k))
+    assert main(["pack", "--n", "600", "--d", "16", "--epsilon", "0.4", "--mode", mode,
+                 "--seed", "1", "--trials", "2"]) == EXIT_CODES["spectral"]
+    assert_no_child_left()
+    report = json.loads(capsys.readouterr().out)
+    for trial in report["trials"]:
+        assert trial["error"] == {"phase": "spectral", "type": "EigenConvergenceError",
+                                  "message": "stubbed"}
+        assert "spectral" not in trial and "params" not in trial
+    assert "spectral" not in report["timings"]
+    # theory mode waits for lambda before params; practice trials ran beside it
+    assert len(runs) == (2 if mode == "practice" else 0)
 
 
 def test_pack_never_imports_scipy(tmp_path):
@@ -333,14 +388,27 @@ def test_pack_never_imports_scipy(tmp_path):
      "load"),
     (["verify", "--input", "{graph}", "--packing", "{tmp}/strings.json"],
      "input", "load"),
+    # regularity is checked before the bound's child is forked and any trial runs
+    (["pack", "--input", "{tmp}/glued.txt"], "spectral", "spectral"),
+    # the empty graph is regular, and params need n > d >= 3
+    (["pack", "--input", "{tmp}/empty.txt"], "infeasible", "params"),
 ], ids=["pack-odd-degree-sum", "pack-tol-0",
         "pack-epsilon-1.5", "spectrum-missing-input", "spectrum-tol-0", "gen-missing-dir",
         "spectrum-word-token", "pack-word-token", "verify-packing-list",
-        "verify-packing-string-ids"])
-def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phase):
+        "verify-packing-string-ids", "pack-non-regular", "pack-empty-graph"])
+def test_every_subcommand_reports_its_failure(tmp_path, capsys, monkeypatch, argv,
+                                              code, phase):
     graph = tmp_path / "p.txt"
     main(["gen", "--kind", "petersen", "--out", str(graph)])
+    main(["gen", "--kind", "glued_cliques", "--k", "5", "--out", str(tmp_path / "glued.txt")])
+    main(["gen", "--kind", "binomial", "--n", "600", "--p", "0",
+          "--out", str(tmp_path / "empty.txt")])
     capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a failed pack reached coloring")
+
+    monkeypatch.setattr(coloring, "stage_one", never)
     (tmp_path / "word.txt").write_text("3 1\n0 x\n")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "strings.json").write_text('{"sets": [["a"]]}')
@@ -350,6 +418,7 @@ def test_every_subcommand_reports_its_failure(tmp_path, capsys, argv, code, phas
     except SystemExit as exc:  # an argument argparse rejects
         status = exc.code
     assert status == EXIT_CODES[code]
+    assert_no_child_left()
     error = json.loads(capsys.readouterr().out)["error"]  # one report, nothing else
     assert error["phase"] == phase
     assert error["type"] and error["message"]

@@ -64,7 +64,8 @@ def test_theory_mode_has_no_defaults():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
+    # a graph without n > d >= 3 is infeasible, not an invalid argument
+    with pytest.raises(InfeasibleParameters, match="need n > d >= 3"):
         derive_params(10, 10, 1.0, 0.5)
     with pytest.raises(ValueError):
         derive_params(100, 10, -1.0, 0.5)
@@ -72,6 +73,15 @@ def test_input_validation():
         derive_params(100, 10, 1.0, 1.5)
     with pytest.raises(ValueError):
         derive_params(100, 10, 1.0, 0.5, mode="rehearsal")
+
+
+def test_only_theory_mode_needs_lambda():
+    pars = derive_params(5000, 64, None, 0.3, "practice")
+    assert pars.lambda_used is None
+    assert pars.to_json() == {**derive_params(5000, 64, 17.0, 0.3, "practice").to_json(),
+                              "lambda_used": None}
+    with pytest.raises(ValueError, match="theory mode needs lambda"):
+        derive_params(10**8, 3 * 10**7, None, 0.8, "theory")
 
 
 def test_practice_leaves_m_d_s_unset():
